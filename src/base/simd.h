@@ -158,6 +158,12 @@ struct F64x4Scalar {
     for (int i = 0; i < 4; ++i) r.lane[i] = 0.0;
     return r;
   }
+  static F64x4Scalar Load(const double* p) {
+    F64x4Scalar r;
+    std::memcpy(r.lane, p, sizeof(r.lane));
+    return r;
+  }
+  void Store(double* p) const { std::memcpy(p, lane, sizeof(lane)); }
 };
 
 inline F64x4Scalar operator+(F64x4Scalar a, F64x4Scalar b) {
@@ -258,6 +264,13 @@ inline F32x8Sse Sqrt(F32x8Sse a) {
 struct F64x4Sse {
   __m128d lo, hi;
   static F64x4Sse Zero() { return {_mm_setzero_pd(), _mm_setzero_pd()}; }
+  static F64x4Sse Load(const double* p) {
+    return {_mm_loadu_pd(p), _mm_loadu_pd(p + 2)};
+  }
+  void Store(double* p) const {
+    _mm_storeu_pd(p, lo);
+    _mm_storeu_pd(p + 2, hi);
+  }
 };
 
 inline F64x4Sse operator+(F64x4Sse a, F64x4Sse b) {
@@ -332,6 +345,8 @@ inline F32x8Avx2 Sqrt(F32x8Avx2 a) { return {_mm256_sqrt_ps(a.v)}; }
 struct F64x4Avx2 {
   __m256d v;
   static F64x4Avx2 Zero() { return {_mm256_setzero_pd()}; }
+  static F64x4Avx2 Load(const double* p) { return {_mm256_loadu_pd(p)}; }
+  void Store(double* p) const { _mm256_storeu_pd(p, v); }
 };
 
 inline F64x4Avx2 operator+(F64x4Avx2 a, F64x4Avx2 b) { return {_mm256_add_pd(a.v, b.v)}; }
@@ -446,6 +461,13 @@ inline F32x8Neon Sqrt(F32x8Neon a) { return {vsqrtq_f32(a.lo), vsqrtq_f32(a.hi)}
 struct F64x4Neon {
   float64x2_t lo, hi;
   static F64x4Neon Zero() { return {vdupq_n_f64(0.0), vdupq_n_f64(0.0)}; }
+  static F64x4Neon Load(const double* p) {
+    return {vld1q_f64(p), vld1q_f64(p + 2)};
+  }
+  void Store(double* p) const {
+    vst1q_f64(p, lo);
+    vst1q_f64(p + 2, hi);
+  }
 };
 
 inline F64x4Neon operator+(F64x4Neon a, F64x4Neon b) {

@@ -38,6 +38,9 @@ struct VecKernels {
   void (*ema)(int64_t n, float beta, const float* g, float* m);
   double (*dot_f64)(int64_t n, const float* a, const float* b);
   double (*sum_f64)(int64_t n, const float* a);
+  void (*gram_f64)(int k, int row_begin, int row_end,
+                   const float* const* rows, int64_t n, double* scratch,
+                   double* out);
 
   // Elementwise spans (tensor/ops.cc). o may alias a or b.
   void (*ew_add)(int64_t n, const float* a, const float* b, float* o);
@@ -66,6 +69,22 @@ struct VecKernels {
   void (*adagrad)(int64_t n, float lr, float eps, const float* g, float* a,
                   float* x);
 };
+
+// GramF64 sweeps its rows in column sub-tiles: one sub-tile of the rows a
+// stripe touches, widened to double, takes at most kGramTileBytes, so it
+// stays in L1 while every pair of the stripe streams over it (on a 4-core
+// Xeon with 48 KiB of L1d, an L2-sized 256 KiB sub-tile ran the K = 32
+// Gram 1.2-2x slower).
+constexpr int64_t kGramTileBytes = int64_t{32} << 10;
+
+/// Columns per GramF64 sub-tile when `rows` rows are widened (a multiple
+/// of 8, at least 8). Tier-independent: tiling never changes results.
+inline int64_t GramTileCols(int rows) {
+  const int64_t cols =
+      (kGramTileBytes / (static_cast<int64_t>(sizeof(double)) * rows)) &
+      ~int64_t{7};
+  return cols < 8 ? 8 : cols;
+}
 
 // Per-tier tables, defined in base/vec_kernels_tier_*.cc. nullptr when the
 // tier is not compiled in (wrong architecture, missing compiler support, or

@@ -128,6 +128,98 @@ double SumF64T(int64_t n, const float* a) {
       [&](double s, int64_t i) { return s + static_cast<double>(a[i]); });
 }
 
+// W pairs of one widened sub-tile of w columns: row `a` against the W
+// consecutive rows (w doubles apart) starting at `b`, continuing the lo/hi
+// accumulator pairs stored at p[8q .. 8q + 7]. W is a compile-time register
+// block, so the accumulators stay in registers across the sub-tile.
+template <typename F64, int W>
+void GramPairsT(const double* a, const double* b, int64_t w, double* p) {
+  F64 lo[W], hi[W];
+  for (int q = 0; q < W; ++q) {
+    lo[q] = F64::Load(p + 8 * q);
+    hi[q] = F64::Load(p + 8 * q + 4);
+  }
+  for (int64_t c = 0; c < w; c += 8) {
+    const F64 alo = F64::Load(a + c);
+    const F64 ahi = F64::Load(a + c + 4);
+    for (int q = 0; q < W; ++q) {
+      lo[q] = MulAdd(alo, F64::Load(b + q * w + c), lo[q]);
+      hi[q] = MulAdd(ahi, F64::Load(b + q * w + c + 4), hi[q]);
+    }
+  }
+  for (int q = 0; q < W; ++q) {
+    lo[q].Store(p + 8 * q);
+    hi[q].Store(p + 8 * q + 4);
+  }
+}
+
+// Gram block of k rows over one span of n columns: out[i*k + j] =
+// DotF64T(n, rows[i], rows[j]) bit for bit, for every i in [row_begin,
+// row_end) and j in [i, k); other entries of out are left alone. Each pair
+// keeps DotF64T's lo/hi accumulator pair across the column sub-tiles
+// (8-float steps in column order), then finishes with the same
+// ReduceAdd(lo + hi) and sequential tail, so tiling and the 4-wide j
+// blocking change the loop order only, never a pair's summation order. A
+// sub-tile of rows [row_begin, k) is widened to double once and reloaded
+// for every pair: CvtLo/CvtHi are exact, so the accumulators see the same
+// operands DotF64T converts in registers. `scratch` holds
+// GramF64ScratchDoubles(k, row_begin, row_end) doubles (base/vec_ops.h).
+template <typename B>
+void GramF64T(int k, int row_begin, int row_end, const float* const* rows,
+              int64_t n, double* scratch, double* out) {
+  using F32 = typename B::F32;
+  using F64 = typename B::F64;
+  const int span = k - row_begin;  // rows any pair of the stripe reads
+  const int64_t n8 = n & ~int64_t{7};
+  const int64_t tile = GramTileCols(span);
+  double* acc = scratch;  // lo[4], hi[4] per (i, j)
+  double* wide = scratch + int64_t{8} * (row_end - row_begin) * k;
+  auto acc_at = [&](int i, int j) {
+    return acc + (static_cast<int64_t>(i - row_begin) * k + j) * 8;
+  };
+  for (int i = row_begin; i < row_end; ++i) {
+    for (int j = i; j < k; ++j) {
+      F64::Zero().Store(acc_at(i, j));
+      F64::Zero().Store(acc_at(i, j) + 4);
+    }
+  }
+  for (int64_t c0 = 0; c0 < n8; c0 += tile) {
+    const int64_t w = n8 - c0 < tile ? n8 - c0 : tile;
+    for (int r = 0; r < span; ++r) {
+      const float* src = rows[row_begin + r] + c0;
+      double* dst = wide + r * w;
+      for (int64_t c = 0; c < w; c += 8) {
+        const F32 v = F32::Load(src + c);
+        CvtLo(v).Store(dst + c);
+        CvtHi(v).Store(dst + c + 4);
+      }
+    }
+    for (int i = row_begin; i < row_end; ++i) {
+      const double* a = wide + (i - row_begin) * w;
+      int j = i;
+      for (; j + 4 <= k; j += 4) {
+        GramPairsT<F64, 4>(a, wide + (j - row_begin) * w, w, acc_at(i, j));
+      }
+      for (; j < k; ++j) {
+        GramPairsT<F64, 1>(a, wide + (j - row_begin) * w, w, acc_at(i, j));
+      }
+    }
+  }
+  for (int i = row_begin; i < row_end; ++i) {
+    const float* a = rows[i];
+    for (int j = i; j < k; ++j) {
+      const float* b = rows[j];
+      const double* p = acc_at(i, j);
+      double s = ReduceAdd(F64::Load(p) + F64::Load(p + 4));
+      for (int64_t c = n8; c < n; ++c) {
+        s = simd::MulAdd(static_cast<double>(a[c]), static_cast<double>(b[c]),
+                         s);
+      }
+      out[static_cast<int64_t>(i) * k + j] = s;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Elementwise spans (tensor/ops.cc). Each applies one generic functor —
 // valid on both float and 8-lane operands — in 8-lane blocks with a scalar
@@ -338,6 +430,7 @@ VecKernels MakeVecKernels() {
   k.ema = &EmaT<B>;
   k.dot_f64 = &DotF64T<B>;
   k.sum_f64 = &SumF64T<B>;
+  k.gram_f64 = &GramF64T<B>;
   k.ew_add = &EwAddT<B>;
   k.ew_sub = &EwSubT<B>;
   k.ew_mul = &EwMulT<B>;

@@ -37,6 +37,16 @@ double SumF64(int64_t n, const float* a) {
   return ActiveVecKernels().sum_f64(n, a);
 }
 
+void GramF64(int k, int row_begin, int row_end, const float* const* rows,
+             int64_t n, double* scratch, double* out) {
+  ActiveVecKernels().gram_f64(k, row_begin, row_end, rows, n, scratch, out);
+}
+
+int64_t GramF64ScratchDoubles(int k, int row_begin, int row_end) {
+  const int span = k - row_begin;
+  return int64_t{8} * (row_end - row_begin) * k + span * GramTileCols(span);
+}
+
 void EwAdd(int64_t n, const float* a, const float* b, float* o) {
   ActiveVecKernels().ew_add(n, a, b, o);
 }

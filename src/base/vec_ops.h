@@ -44,6 +44,16 @@ double SquaredNormF64(int64_t n, const float* a);
 /// Σ a[i] in double precision (same decomposition as DotF64).
 double SumF64(int64_t n, const float* a);
 
+/// Upper-triangle block of the Gram matrix of k rows over one span of n
+/// columns: out[i*k + j] = DotF64(n, rows[i], rows[j]), memcmp-equal, for
+/// i in [row_begin, row_end) and j in [i, k); other entries of `out` are
+/// not written. `scratch` holds GramF64ScratchDoubles(k, row_begin,
+/// row_end) doubles (accumulators plus one widened column sub-tile) and
+/// comes from the caller's ScratchScope; the kernel does no heap work.
+void GramF64(int k, int row_begin, int row_end, const float* const* rows,
+             int64_t n, double* scratch, double* out);
+int64_t GramF64ScratchDoubles(int k, int row_begin, int row_end);
+
 // Elementwise spans (tensor/ops.cc fast paths). `o` may alias an input.
 
 /// o[i] = a[i] + b[i].

@@ -38,11 +38,15 @@ ConflictStats ComputeConflictStats(const GradMatrix& grads) {
 
 std::vector<double> PairwiseCosines(const GradMatrix& grads) {
   const int k = grads.num_tasks();
+  const std::vector<std::vector<double>> gram = grads.Gram();
   std::vector<double> cosines(static_cast<size_t>(k) * k, 1.0);
+  // The zero-norm convention of obs::AggregatorTrace::SetCosinesFromGram,
+  // so fallback and published cosines agree bit for bit.
   for (int i = 0; i < k; ++i) {
+    const double ni = std::sqrt(std::max(gram[i][i], 0.0));
     for (int j = i + 1; j < k; ++j) {
-      const double cos =
-          CosineSimilarity(grads.Row(i), grads.Row(j), grads.dim());
+      const double denom = ni * std::sqrt(std::max(gram[j][j], 0.0));
+      const double cos = denom < kEps ? 0.0 : gram[i][j] / denom;
       cosines[static_cast<size_t>(i) * k + j] = cos;
       cosines[static_cast<size_t>(j) * k + i] = cos;
     }

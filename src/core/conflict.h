@@ -38,7 +38,9 @@ struct ConflictStats {
 ConflictStats ComputeConflictStats(const GradMatrix& grads);
 
 /// The full K×K pairwise cosine matrix of the task gradients (row-major,
-/// symmetric, diagonal 1). Same per-pair math as CosineSimilarity.
+/// symmetric, diagonal 1), derived from one GradMatrix::Gram() pass as
+/// G_ij / (sqrt(G_ii)·sqrt(G_jj)), 0 when that denominator is below 1e-12 —
+/// bit-identical to AggregatorTrace::SetCosinesFromGram on the same Gram.
 std::vector<double> PairwiseCosines(const GradMatrix& grads);
 
 /// Conflict statistics from an already-computed K×K cosine matrix — the

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <numeric>
 
+#include "base/thread_pool.h"
+#include "base/vec_ops.h"
 #include "core/conflict.h"
+#include "obs/telemetry.h"
 
 namespace mocograd {
 namespace {
@@ -41,6 +46,158 @@ double Dot(const std::vector<float>& a, const std::vector<float>& b) {
 }
 
 double Norm(const std::vector<float>& a) { return std::sqrt(Dot(a, a)); }
+
+// Test-local reference: Algorithm 1 exactly as MoCoGrad ran it before the
+// Gram pass — every dot a fresh RowDot, every norm a RowNorm, the
+// calibration applied row by row in task order, one EMA per task.
+// MoCoGrad::Aggregate must match it bit for bit.
+struct ReferenceMoCoGrad {
+  MoCoGradOptions options;
+  std::vector<std::vector<float>> momenta;
+
+  core::AggregationResult Step(const GradMatrix& g, Rng* rng,
+                               obs::AggregatorTrace* trace) {
+    constexpr double kEps = 1e-12;
+    const int k = g.num_tasks();
+    const int64_t p = g.dim();
+    if (momenta.empty()) momenta.assign(k, std::vector<float>(p, 0.0f));
+    std::vector<double> g_norm(k), m_norm(k);
+    for (int i = 0; i < k; ++i) {
+      g_norm[i] = g.RowNorm(i);
+      m_norm[i] = std::sqrt(vec::SquaredNormF64(p, momenta[i].data()));
+    }
+    trace->set_grad_norms(g_norm);
+    trace->set_momentum_norms(m_norm);
+    core::AggregationResult out;
+    out.shared_grad.assign(p, 0.0f);
+    out.task_weights.assign(k, 1.0);
+    auto add_calibration = [&](int j) -> double {
+      const bool use_m = !options.use_raw_gradient && m_norm[j] > kEps;
+      const float* dir = use_m ? momenta[j].data() : g.Row(j);
+      const double dir_norm = use_m ? m_norm[j] : g_norm[j];
+      if (dir_norm <= kEps) return 0.0;
+      const float scale =
+          static_cast<float>(options.lambda * g_norm[j] / dir_norm);
+      vec::Axpy(p, scale, dir, out.shared_grad.data());
+      return scale;
+    };
+    std::vector<int> others(k);
+    std::iota(others.begin(), others.end(), 0);
+    for (int i = 0; i < k; ++i) {
+      int chosen = -1;
+      rng->Shuffle(others);
+      for (int j : others) {
+        if (j == i) continue;
+        const double dot = g.RowDot(i, j);
+        const double denom = g_norm[i] * g_norm[j];
+        trace->SetCosine(i, j, denom < kEps ? 0.0 : dot / denom);
+        if (dot >= 0.0) continue;
+        ++out.num_conflicts;
+        if (options.accumulate_all_conflicts) {
+          const double scale = add_calibration(j);
+          trace->RecordPair(i, j, trace->cosine(i, j), scale, scale != 0.0);
+        } else {
+          chosen = j;
+          trace->RecordPair(i, j, trace->cosine(i, j), 0.0, false);
+        }
+      }
+      vec::Add(p, g.Row(i), out.shared_grad.data());
+      if (chosen < 0) continue;
+      const double scale = add_calibration(chosen);
+      if (scale != 0.0) trace->MarkActed(i, chosen, scale);
+    }
+    for (int j = 0; j < k; ++j) {
+      vec::Ema(p, options.beta1, g.Row(j), momenta[j].data());
+    }
+    return out;
+  }
+};
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(MoCoGradTest, GramPathBitIdenticalToRowDotReference) {
+  // Multi-block rows (RowDot's block combine matters), a cold start on the
+  // first step, and a task whose gradient is always zero (its momentum
+  // stays at ‖m‖ = 0, and every cosine against it takes the zero-norm
+  // convention). Checked at several pool sizes and for both ablation
+  // switches, which change the calibration terms and their order.
+  const int k = 6;
+  const int64_t dim = 2 * (1 << 15) + 37;
+  const int kZeroTask = 4;
+  MoCoGradOptions raw;
+  raw.use_raw_gradient = true;
+  MoCoGradOptions all;
+  all.accumulate_all_conflicts = true;
+  for (const MoCoGradOptions& opts : {MoCoGradOptions{}, raw, all}) {
+    for (int threads : {1, 3}) {
+      ThreadPool::SetGlobalNumThreads(threads);
+      MoCoGrad agg(opts);
+      ReferenceMoCoGrad ref{opts, {}};
+      Rng rng(7), ref_rng(7), data(99);
+      obs::AggregatorTrace trace, ref_trace;
+      GradMatrix g(k, dim);
+      for (int step = 0; step < 4; ++step) {
+        SCOPED_TRACE(testing::Message()
+                     << "step " << step << " threads " << threads
+                     << " raw " << opts.use_raw_gradient << " all "
+                     << opts.accumulate_all_conflicts);
+        for (int t = 0; t < k; ++t) {
+          // A shared direction with per-task signs gives a mix of
+          // conflicting and aligned pairs.
+          const float sign = (t + step) % 3 == 0 ? -1.0f : 1.0f;
+          for (int64_t q = 0; q < dim; ++q) {
+            g.Row(t)[q] = t == kZeroTask ? 0.0f : sign * 0.5f + data.Normal();
+          }
+        }
+        trace.Begin("mocograd", k);
+        ref_trace.Begin("mocograd", k);
+        std::vector<float> losses(k, 1.0f);
+        AggregationContext ctx;
+        ctx.task_grads = &g;
+        ctx.losses = &losses;
+        ctx.step = step;
+        ctx.rng = &rng;
+        ctx.trace = &trace;
+        const core::AggregationResult got = agg.Aggregate(ctx);
+        const core::AggregationResult want =
+            ref.Step(g, &ref_rng, &ref_trace);
+
+        EXPECT_TRUE(SameBits(got.shared_grad, want.shared_grad));
+        EXPECT_EQ(got.num_conflicts, want.num_conflicts);
+        EXPECT_GT(got.num_conflicts, 0);
+        for (int t = 0; t < k; ++t) {
+          EXPECT_TRUE(SameBits(agg.momentum(t), ref.momenta[t])) << t;
+        }
+        EXPECT_TRUE(
+            SameBits(trace.cosine_matrix(), ref_trace.cosine_matrix()));
+        EXPECT_TRUE(SameBits(trace.grad_norms(), ref_trace.grad_norms()));
+        EXPECT_TRUE(
+            SameBits(trace.momentum_norms(), ref_trace.momentum_norms()));
+        ASSERT_EQ(trace.pairs().size(), ref_trace.pairs().size());
+        for (size_t q = 0; q < trace.pairs().size(); ++q) {
+          const obs::PairDecision& a = trace.pairs()[q];
+          const obs::PairDecision& b = ref_trace.pairs()[q];
+          EXPECT_EQ(a.i, b.i);
+          EXPECT_EQ(a.j, b.j);
+          EXPECT_EQ(a.acted, b.acted);
+          EXPECT_EQ(std::memcmp(&a.cosine, &b.cosine, sizeof(double)), 0);
+          EXPECT_EQ(std::memcmp(&a.magnitude, &b.magnitude, sizeof(double)),
+                    0);
+        }
+        EXPECT_EQ(trace.cosine(kZeroTask, 0), 0.0);
+      }
+    }
+  }
+  ThreadPool::SetGlobalNumThreads(1);
+}
 
 TEST(MoCoGradTest, NonConflictingGradientsUntouched) {
   MoCoGrad agg;

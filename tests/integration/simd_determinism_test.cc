@@ -332,12 +332,19 @@ TEST_F(SimdDeterminismTest, AllTiersBitIdentical) {
   Tensor ew = Tensor::Randn({10007}, rng);
   std::vector<uint16_t> b16(static_cast<size_t>(k) * n);
   for (size_t i = 0; i < b16.size(); ++i) b16[i] = Bf16FromF32(bb.data()[i]);
+  // GramF64 through GradMatrix::Gram: 9 rows (two 4-wide j blocks plus a
+  // remainder), two reduction blocks and a ragged tail.
+  core::GradMatrix grads(9, (1 << 15) + 13);
+  for (int t = 0; t < grads.num_tasks(); ++t) {
+    for (int64_t p = 0; p < grads.dim(); ++p) grads.Row(t)[p] = rng.Normal();
+  }
 
   const std::vector<simd::IsaTier> tiers = AvailableTiers();
   ASSERT_FALSE(tiers.empty());
 
   Tensor ref_c, ref_blk, ref_relu, ref_opt;
   std::vector<float> ref_bf16, ref_bf16_row;
+  std::vector<std::vector<double>> ref_gram;
   float ref_sum = 0.0f;
   bool have_ref = false;
   for (simd::IsaTier tier : tiers) {
@@ -363,6 +370,7 @@ TEST_F(SimdDeterminismTest, AllTiersBitIdentical) {
       optim::Adam opt({&w}, 1e-2f);
       w.mutable_grad().CopyFrom(Tensor::Randn({13, 7}, grng));
       opt.Step();
+      const std::vector<std::vector<double>> gram = grads.Gram();
 
       if (!have_ref) {
         have_ref = true;
@@ -373,6 +381,7 @@ TEST_F(SimdDeterminismTest, AllTiersBitIdentical) {
         ref_relu = relu;
         ref_sum = sum;
         ref_opt = w.value().Clone();
+        ref_gram = gram;
         // The bf16 batched rows and the m == 1 row agree per element
         // (batch-invariant serving).
         for (int64_t j = 0; j < n; ++j) {
@@ -401,6 +410,13 @@ TEST_F(SimdDeterminismTest, AllTiersBitIdentical) {
         EXPECT_TRUE(BitIdentical(ref_opt, w.value()))
             << "Adam differs (tier=" << name << ", threads=" << threads
             << ")";
+        for (size_t i = 0; i < gram.size(); ++i) {
+          EXPECT_EQ(std::memcmp(gram[i].data(), ref_gram[i].data(),
+                                gram[i].size() * sizeof(double)),
+                    0)
+              << "GramF64 row " << i << " differs (tier=" << name
+              << ", threads=" << threads << ")";
+        }
       }
     }
   }

@@ -340,6 +340,56 @@ TEST_F(MgAnalyzeTest, FlagsAllocReachableThroughCallChain) {
   EXPECT_NE(r.output.find("bad.cc:4"), std::string::npos) << r.output;
 }
 
+TEST_F(MgAnalyzeTest, FlagsSizedVectorConstructionReachableFromHotPath) {
+  // `std::vector<T> x(n)` allocates without any growth call; a hot caller
+  // reaching it is a finding, as is a sized temporary.
+  WriteFile(root_ / "src" / "core" / "bad.cc",
+            "#include <vector>\n"
+            "double Blocks(const float* v, int n) {\n"
+            "  std::vector<double> partials(n);\n"
+            "  (void)v;\n"
+            "  return partials[0];\n"
+            "}\n"
+            "int Temp(int n) { return std::vector<int>(n, 1)[0]; }\n"
+            "// MG_HOT_PATH\n"
+            "double Step(const float* v, int n) {\n"
+            "  return Blocks(v, n) + Temp(n);\n"
+            "}\n"
+            "// MG_HOT_PATH_END\n");
+  const AnalyzeResult r = RunAnalyze(root_);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("bad.cc:3: [hot-path-alloc] sized vector "
+                          "construction"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("bad.cc:7: [hot-path-alloc] sized vector "
+                          "construction"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("Step -> Blocks"), std::string::npos) << r.output;
+}
+
+TEST_F(MgAnalyzeTest, VectorSignaturesAndEmptyDeclarationsAreNotConstruction) {
+  // A function returning a vector, reference parameters, an empty
+  // declaration and a lambda returning a vector allocate nothing.
+  WriteFile(root_ / "src" / "core" / "fine.cc",
+            "#include <vector>\n"
+            "using Buf = std::vector<float>;\n"
+            "std::vector<float> Rows(const std::vector<float>& src, int n) {\n"
+            "  std::vector<float> out;\n"
+            "  auto f = [&]() -> std::vector<float> {\n"
+            "    return src;\n"
+            "  };\n"
+            "  (void)n; (void)f;\n"
+            "  return out;\n"
+            "}\n"
+            "// MG_HOT_PATH\n"
+            "void Step(const Buf& v) { Rows(v, 1); }\n"
+            "// MG_HOT_PATH_END\n");
+  const AnalyzeResult r = RunAnalyze(root_);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
 TEST_F(MgAnalyzeTest, FollowsCallsAcrossFiles) {
   WriteFile(root_ / "src" / "tensor" / "hot.cc",
             "#include \"tensor/helper.h\"\n"

@@ -476,6 +476,44 @@ bool HasNewToken(const std::string& code) {
   return HasWholeToken(code, "new");
 }
 
+// Sized or filled vector construction — `std::vector<T> x(n)`,
+// `std::vector<T> x{a, b}`, or a temporary `std::vector<T>(n, v)` — which
+// allocates without any growth call the token table could see. A name
+// followed by an argument list is also how a function returning a vector
+// is declared, so the enclosing function's own name (its definition line)
+// is skipped; `{` closing a line opens a body, not an initializer.
+bool HasSizedVectorConstruction(const std::string& code,
+                                const std::string& fn_name) {
+  size_t pos = 0;
+  while ((pos = code.find("vector<", pos)) != std::string::npos) {
+    const size_t at = pos;
+    pos += 7;
+    if (at > 0 && IsIdentChar(code[at - 1])) continue;  // `myvector<`
+    size_t i = at + 6;  // the '<'
+    int angle = 0;
+    for (; i < code.size(); ++i) {
+      if (code[i] == '<') ++angle;
+      if (code[i] == '>' && --angle == 0) break;
+    }
+    if (angle != 0) return false;  // template args span lines — give up
+    size_t j = i + 1;
+    while (j < code.size() && code[j] == ' ') ++j;
+    if (j < code.size() && IsIdentStart(code[j])) {
+      size_t e = j + 1;
+      while (e < code.size() && IsIdentChar(code[e])) ++e;
+      if (code.substr(j, e - j) == fn_name) continue;
+      j = e;
+    }
+    if (j >= code.size() || (code[j] != '(' && code[j] != '{')) continue;
+    size_t a = j + 1;
+    while (a < code.size() && code[a] == ' ') ++a;
+    if (code[j] == '{' && a >= code.size()) continue;  // a body, not a list
+    if (a < code.size() && (code[a] == ')' || code[a] == '}')) continue;
+    return true;
+  }
+  return false;
+}
+
 // An allocation site found inside a function body for the transitive rule.
 struct AllocSite {
   int line = 0;
@@ -491,6 +529,10 @@ std::vector<AllocSite> AllocSitesIn(const SourceFile& f, const Function& fn) {
     if (IsAllowed(f, idx, "hot-path-alloc")) continue;
     if (HasNewToken(f.code[idx])) {
       sites.push_back({li, "raw new"});
+      continue;
+    }
+    if (HasSizedVectorConstruction(f.code[idx], fn.name)) {
+      sites.push_back({li, "sized vector construction"});
       continue;
     }
     for (const TokenRule& tr : HotPathTokens()) {

@@ -32,6 +32,12 @@
 #                      engine is bit-identical to the linear replay, so the
 #                      fallback must stay green too (docs/AUTOGRAD.md)
 #   simd-diff          training stdout byte-identical with SIMD on and off
+#   bench-mtl-smoke    bench_mtl/run_benchmark.sh --smoke (~20 s): every
+#                      benchmark workload briefly, plain and traced, with
+#                      its checks — pool-1 replica bitwise equal to the
+#                      pool-4 trainer, every served row bitwise equal to its
+#                      single-row reference, metric names against
+#                      BENCHMARK.json (bench_mtl/README.md)
 #   analyze            tools/mg_analyze call-graph-aware invariant analyzer
 #                      over the tree (docs/CORRECTNESS.md)
 #   thread-safety      Clang build with -Wthread-safety promoted to error —
@@ -187,6 +193,10 @@ pass_simd_diff() {
   }
 }
 
+pass_bench_mtl_smoke() {
+  bash "$repo_root/bench_mtl/run_benchmark.sh" --smoke
+}
+
 pass_analyze() {
   "$build_dir/tools/mg_analyze" "$repo_root"
 }
@@ -270,6 +280,7 @@ run_pass ctest-isa-sse pass_ctest_isa_sse
 run_pass ctest-gemm-block pass_ctest_gemm_block
 run_pass ctest-autograd-seq pass_ctest_autograd_seq
 run_pass simd-diff pass_simd_diff
+run_pass bench-mtl-smoke pass_bench_mtl_smoke
 run_pass analyze pass_analyze
 if command -v clang++ >/dev/null 2>&1; then
   run_pass thread-safety pass_thread_safety
