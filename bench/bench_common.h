@@ -9,6 +9,7 @@
 // are the *shapes* — see EXPERIMENTS.md.
 
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>

@@ -18,10 +18,12 @@
 //
 // Methodology: closed-loop rates are best-of-kTrials (bench_common.h);
 // latency quantiles come from per-request timestamps into preallocated
-// slots. This host has one core, so batched-vs-single gains here are pure
+// slots. On a single-core host batched-vs-single gains are pure
 // per-request overhead amortization (GEMM microkernel row reuse, one
 // scratch slab and op-dispatch walk per flush instead of per row) — on a
 // multi-core box the batched forward additionally fans out over the pool.
+// The report records nproc, and carries a "note" saying so only when the
+// measured nproc is 1.
 //
 // The report also carries the active runtime-ISA tier ("isa_tier"), a
 // "precision" tag per traffic row (the harness drives fp32 engines), and
@@ -504,8 +506,14 @@ int Main(int argc, char** argv) {
 
   std::string json = "{\n  \"bench\": \"serve\",\n  \"smoke\": ";
   json += smoke ? "true" : "false";
+  const unsigned nproc = std::thread::hardware_concurrency();
   json += ",\n  \"nproc\": ";
-  json += std::to_string(std::thread::hardware_concurrency());
+  json += std::to_string(nproc);
+  if (nproc == 1) {
+    json +=
+        ",\n  \"note\": \"single-core host: batched-vs-single gains are "
+        "per-request overhead amortization only\"";
+  }
   json += ",\n  \"isa_tier\": \"";
   json += simd::ActiveBackendName();
   json += "\",\n  \"trials\": ";

@@ -1,5 +1,7 @@
 #include "autograd/variable.h"
 
+#include <utility>
+
 #include "autograd/executor.h"
 #include "base/check.h"
 
@@ -21,14 +23,20 @@ Variable Variable::MakeOp(
   v.node_->value = std::move(value);
   v.node_->op = op;
   bool needs_grad = false;
-  v.node_->parents.reserve(parents.size());
   for (const Variable& p : parents) {
     MG_CHECK(p.defined(), "undefined parent in op ", op);
     needs_grad = needs_grad || p.requires_grad();
-    v.node_->parents.push_back(p.node_);
   }
   v.node_->requires_grad = needs_grad;
-  if (needs_grad) v.node_->grad_fn = std::move(grad_fn);
+  // A node that needs no gradient is never entered by a sweep, so neither
+  // its parents nor its grad_fn (and the tensors it captured) are kept: a
+  // gradient-free forward frees each intermediate as soon as its last
+  // consumer has run instead of holding the whole tape.
+  if (needs_grad) {
+    v.node_->parents.reserve(parents.size());
+    for (const Variable& p : parents) v.node_->parents.push_back(p.node_);
+    v.node_->grad_fn = std::move(grad_fn);
+  }
   return v;
 }
 
@@ -93,6 +101,25 @@ void Variable::BackwardImpl(const Tensor& seed, GradSink* sink) const {
   // selected by MOCOGRAD_AUTOGRAD_EXEC / SetBackwardExecutor. Both produce
   // bit-identical gradients — see docs/AUTOGRAD.md.
   RunBackward(node_.get(), seed, sink);
+}
+
+NoGradScope::NoGradScope(std::vector<Variable*> leaves)
+    : leaves_(std::move(leaves)) {
+  saved_.reserve(leaves_.size());
+  for (Variable* v : leaves_) {
+    MG_CHECK(v != nullptr && v->defined(), "NoGradScope over undefined leaf");
+    MG_CHECK(!v->node()->grad_fn, "NoGradScope over interior node ",
+             v->node()->op);
+    saved_.push_back(v->node()->requires_grad);
+    v->node()->requires_grad = false;
+  }
+}
+
+NoGradScope::~NoGradScope() {
+  // Reverse order, so a leaf listed twice gets its original flag back.
+  for (size_t i = leaves_.size(); i-- > 0;) {
+    leaves_[i]->node()->requires_grad = saved_[i];
+  }
 }
 
 }  // namespace autograd

@@ -35,7 +35,10 @@ class Variable {
   /// Leaf node wrapping `value`.
   explicit Variable(Tensor value, bool requires_grad = false);
 
-  /// Interior node factory used by the op library.
+  /// Interior node factory used by the op library. The node requires grad
+  /// iff some parent does; only then does it keep `parents` and `grad_fn`
+  /// (no sweep ever enters a node that needs no gradient). Writes nothing
+  /// but the new node, so tapes may be built concurrently on pool workers.
   static Variable MakeOp(
       const char* op, Tensor value, std::vector<Variable> parents,
       std::function<std::vector<Tensor>(const Tensor&)> grad_fn);
@@ -101,6 +104,27 @@ class Variable {
   void BackwardImpl(const Tensor& seed, GradSink* sink) const;
 
   std::shared_ptr<Node> node_;
+};
+
+/// Marks leaf Variables (typically a model's Parameters()) as not requiring
+/// grad for the scope's lifetime and restores each flag on exit. Ops built
+/// inside the scope from those leaves keep no parents and no grad_fn, so a
+/// forward run in it builds no tape: every intermediate is freed once its
+/// consumer has run. The flag lives in the leaf nodes rather than in a
+/// thread_local mode, so it also reaches pool workers that build per-task
+/// tapes concurrently. The leaves must not be used by another thread (or
+/// by a Backward) while the scope is alive.
+class NoGradScope {
+ public:
+  explicit NoGradScope(std::vector<Variable*> leaves);
+  ~NoGradScope();
+
+  NoGradScope(const NoGradScope&) = delete;
+  NoGradScope& operator=(const NoGradScope&) = delete;
+
+ private:
+  std::vector<Variable*> leaves_;
+  std::vector<bool> saved_;
 };
 
 }  // namespace autograd

@@ -48,11 +48,8 @@ CgcModel::CgcModel(const CgcConfig& config, Rng& rng) {
 }
 
 std::vector<Variable> CgcModel::Forward(const std::vector<Variable>& inputs) {
-  const int k = num_tasks();
-  MG_CHECK_EQ(static_cast<int>(inputs.size()), k);
-  std::vector<Variable> outputs;
-  outputs.reserve(k);
-  for (int t = 0; t < k; ++t) {
+  MG_CHECK_EQ(static_cast<int>(inputs.size()), num_tasks());
+  return ForwardTasksConcurrently(num_tasks(), [&](int t) {
     const Variable& x = inputs[t];
     Variable gate = ag::SoftmaxRows(gates_[t]->Forward(x));
     Variable fused;
@@ -65,9 +62,8 @@ std::vector<Variable> CgcModel::Forward(const std::vector<Variable>& inputs) {
     };
     for (nn::Mlp* e : shared_experts_) mix_in(e);
     for (nn::Mlp* e : task_experts_[t]) mix_in(e);
-    outputs.push_back(heads_[t]->Forward(fused));
-  }
-  return outputs;
+    return heads_[t]->Forward(fused);
+  });
 }
 
 std::vector<Variable*> CgcModel::SharedParameters() {

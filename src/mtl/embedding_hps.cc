@@ -47,9 +47,7 @@ EmbeddingHpsModel::EmbeddingHpsModel(const EmbeddingHpsConfig& config,
 std::vector<Variable> EmbeddingHpsModel::Forward(
     const std::vector<Variable>& inputs) {
   MG_CHECK_EQ(static_cast<int>(inputs.size()), num_tasks());
-  std::vector<Variable> outputs;
-  outputs.reserve(heads_.size());
-  for (size_t k = 0; k < heads_.size(); ++k) {
+  return ForwardTasksConcurrently(num_tasks(), [&](int k) {
     const Variable& x = inputs[k];
     const int64_t expected =
         config_.dense_dim + static_cast<int64_t>(config_.cat_specs.size());
@@ -75,9 +73,8 @@ std::vector<Variable> EmbeddingHpsModel::Forward(
       parts.push_back(embeddings_[c]->Forward(ids));
     }
     Variable z = ag::Relu(trunk_->Forward(ag::Concat(parts, 1)));
-    outputs.push_back(heads_[k]->Forward(z));
-  }
-  return outputs;
+    return heads_[k]->Forward(z);
+  });
 }
 
 std::vector<Variable*> EmbeddingHpsModel::SharedParameters() {

@@ -31,16 +31,13 @@ HpsModel::HpsModel(const HpsConfig& config, Rng& rng) {
 
 std::vector<Variable> HpsModel::Forward(const std::vector<Variable>& inputs) {
   MG_CHECK_EQ(static_cast<int>(inputs.size()), num_tasks());
-  std::vector<Variable> outputs;
-  outputs.reserve(heads_.size());
   // Multi-input MTL: each task may carry its own batch, so the trunk runs
   // per task; single-input callers pass the same Variable and pay one extra
   // forward per task (matching how LibMTL handles the multi-input setting).
-  for (size_t k = 0; k < heads_.size(); ++k) {
+  return ForwardTasksConcurrently(num_tasks(), [&](int k) {
     Variable z = autograd::Relu(trunk_->Forward(inputs[k]));
-    outputs.push_back(heads_[k]->Forward(z));
-  }
-  return outputs;
+    return heads_[k]->Forward(z);
+  });
 }
 
 std::vector<Variable*> HpsModel::SharedParameters() {

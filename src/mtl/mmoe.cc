@@ -42,9 +42,7 @@ MmoeModel::MmoeModel(const MmoeConfig& config, Rng& rng) {
 std::vector<Variable> MmoeModel::Forward(
     const std::vector<Variable>& inputs) {
   MG_CHECK_EQ(static_cast<int>(inputs.size()), num_tasks());
-  std::vector<Variable> outputs;
-  outputs.reserve(heads_.size());
-  for (size_t k = 0; k < heads_.size(); ++k) {
+  return ForwardTasksConcurrently(num_tasks(), [&](int k) {
     const Variable& x = inputs[k];
     // Gate weights over the experts for this task.
     Variable gate = ag::SoftmaxRows(gates_[k]->Forward(x));  // [n, E]
@@ -55,9 +53,8 @@ std::vector<Variable> MmoeModel::Forward(
       Variable contrib = ag::Mul(ze, we);
       fused = fused.defined() ? ag::Add(fused, contrib) : contrib;
     }
-    outputs.push_back(heads_[k]->Forward(fused));
-  }
-  return outputs;
+    return heads_[k]->Forward(fused);
+  });
 }
 
 std::vector<Variable*> MmoeModel::SharedParameters() {

@@ -1,8 +1,10 @@
 #ifndef MOCOGRAD_MTL_MODEL_H_
 #define MOCOGRAD_MTL_MODEL_H_
 
+#include <cstdint>
 #include <vector>
 
+#include "base/thread_pool.h"
 #include "nn/module.h"
 
 namespace mocograd {
@@ -38,6 +40,32 @@ class MtlModel : public nn::Module {
     return n;
   }
 };
+
+/// Builds the K per-task forward tapes concurrently on the global pool:
+/// `task_forward(k)` returns task k's prediction and is called once per
+/// task, possibly from a pool worker, with outputs written by index.
+///
+/// Only for models whose task k subgraph reads nothing but `inputs[k]` and
+/// shared parameter leaves (HPS, MMoE, CGC, EmbeddingHps); models that couple
+/// tasks inside a layer (cross-stitch, MTAN, the scene model) forward
+/// serially. The contract that makes this safe: forward ops and
+/// Variable::MakeOp write no shared mutable state (mg_analyze's
+/// task-parallel-static rule checks every function reachable from a caller
+/// of this helper). Results are bit-identical to a serial loop at any pool
+/// size: each task runs the same ops in the same order, nested GEMMs are
+/// pool-size-invariant, and backward order comes from the tape's parent
+/// edges, never from the order nodes were created (docs/AUTOGRAD.md).
+template <typename TaskForward>
+std::vector<Variable> ForwardTasksConcurrently(int num_tasks,
+                                               TaskForward&& task_forward) {
+  std::vector<Variable> outputs(num_tasks);
+  ParallelFor(0, num_tasks, 1, [&](int64_t t0, int64_t t1) {
+    for (int64_t t = t0; t < t1; ++t) {
+      outputs[t] = task_forward(static_cast<int>(t));
+    }
+  });
+  return outputs;
+}
 
 }  // namespace mtl
 }  // namespace mocograd

@@ -61,7 +61,8 @@ StepStats MtlTrainer::Step(const std::vector<Batch>& batches) {
   StepStats stats;
   Stopwatch phase_timer;
 
-  // Forward all tasks on one shared tape.
+  // Forward all tasks into one tape whose task subgraphs share the
+  // parameter leaves (task-separable models build them concurrently).
   std::vector<Variable> preds;
   std::vector<Variable> losses;
   {
@@ -331,6 +332,10 @@ std::vector<Tensor> MtlTrainer::Predict(const std::vector<Batch>& batches) {
   for (const Batch& b : batches) {
     inputs.emplace_back(b.x, /*requires_grad=*/false);
   }
+  // With every parameter frozen no op keeps its parents, so each task's
+  // intermediates die as soon as they are consumed instead of the whole
+  // K-task tape living until the predictions are returned.
+  const ag::NoGradScope no_grad(model_->Parameters());
   std::vector<Variable> preds = model_->Forward(inputs);
   std::vector<Tensor> out;
   out.reserve(k);

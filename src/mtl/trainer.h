@@ -123,7 +123,12 @@ class MtlTrainer {
   /// pass batches sharing the same `x`).
   StepStats Step(const std::vector<data::Batch>& batches);
 
-  /// Forward pass only (no tape kept on parameters), for evaluation.
+  /// Forward pass only, for evaluation. Builds no tape: the model's
+  /// parameters are marked as not requiring grad for the duration of the
+  /// call (autograd::NoGradScope, flags restored on return), so every
+  /// intermediate is freed as soon as its consumer has run. Returns exactly
+  /// the bits Forward(inputs)[k].value() would, and leaves the model's
+  /// parameters, gradients and the next Step unchanged.
   std::vector<Tensor> Predict(const std::vector<data::Batch>& batches);
 
   MtlModel* model() { return model_; }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "autograd/ops.h"
 #include "autograd/variable.h"
@@ -71,6 +72,62 @@ TEST(VariableTest, NoGradThroughConstLeaf) {
   y.Backward();
   EXPECT_FLOAT_EQ(x.grad()[0], 5.0f);
   EXPECT_FALSE(c.has_grad());
+}
+
+// A node that needs no gradient is never entered by a sweep, so MakeOp keeps
+// neither its parents nor its grad_fn: the inputs die with their last handle.
+TEST(VariableTest, GradFreeOpHoldsNoParents) {
+  Variable a(Tensor::FromVector({2}, {1, 2}), false);
+  Variable b(Tensor::FromVector({2}, {3, 4}), false);
+  Variable y = ag::Mul(a, b);
+  EXPECT_FALSE(y.requires_grad());
+  EXPECT_TRUE(y.node()->parents.empty());
+  EXPECT_FALSE(y.node()->grad_fn);
+  EXPECT_FLOAT_EQ(y.value()[1], 8.0f);
+
+  std::weak_ptr<autograd::Node> a_node = a.node();
+  a = Variable();
+  EXPECT_TRUE(a_node.expired()) << "gradient-free op kept its parent alive";
+
+  // One parent needing grad keeps the whole edge list.
+  Variable w(Tensor::FromVector({2}, {5, 6}), true);
+  Variable z = ag::Mul(b, w);
+  EXPECT_TRUE(z.requires_grad());
+  ASSERT_EQ(z.node()->parents.size(), 2u);
+  EXPECT_EQ(z.node()->parents[0], b.node());
+  EXPECT_EQ(z.node()->parents[1], w.node());
+}
+
+TEST(NoGradScopeTest, BuildsNoTapeAndRestoresFlags) {
+  Variable w(Tensor::FromVector({2}, {5, 6}), true);
+  Variable c(Tensor::FromVector({2}, {1, 1}), false);
+  Variable x(Tensor::FromVector({2}, {2, 3}), false);
+  Variable y;
+  {
+    autograd::NoGradScope no_grad({&w, &c});
+    EXPECT_FALSE(w.requires_grad());
+    y = ag::SumAll(ag::Mul(ag::Add(x, c), w));
+    EXPECT_FALSE(y.requires_grad());
+    EXPECT_TRUE(y.node()->parents.empty());
+  }
+  EXPECT_TRUE(w.requires_grad());
+  EXPECT_FALSE(c.requires_grad());
+  EXPECT_FLOAT_EQ(y.value().Item(), 3.0f * 5.0f + 4.0f * 6.0f);
+
+  // Outside the scope the same expression records a tape again.
+  Variable y2 = ag::SumAll(ag::Mul(ag::Add(x, c), w));
+  y2.Backward();
+  EXPECT_FLOAT_EQ(w.grad()[0], 3.0f);
+  EXPECT_FLOAT_EQ(w.grad()[1], 4.0f);
+}
+
+TEST(NoGradScopeTest, LeafListedTwiceGetsItsFlagBack) {
+  Variable w(Tensor::FromVector({1}, {1}), true);
+  {
+    autograd::NoGradScope no_grad({&w, &w});
+    EXPECT_FALSE(w.requires_grad());
+  }
+  EXPECT_TRUE(w.requires_grad());
 }
 
 // --- Parameterized numerical gradient checks over unary ops ---------------

@@ -1,6 +1,6 @@
 // The parallel compute layer's core guarantee: for ANY pool size, every
-// kernel and the trainer's parallel per-task backward produce output
-// bit-identical to the serial (1-thread) path. Chunk boundaries never
+// kernel and the trainer's concurrent per-task forward and backward produce
+// output bit-identical to the serial (1-thread) path. Chunk boundaries never
 // influence results, and reductions use a fixed block decomposition whose
 // partials combine in block order (see base/thread_pool.h, tensor/ops.cc).
 
@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "autograd/executor.h"
@@ -16,18 +17,16 @@
 #include "base/thread_pool.h"
 #include "core/grad_matrix.h"
 #include "core/registry.h"
-#include "mtl/hps.h"
 #include "mtl/trainer.h"
 #include "optim/optimizer.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
+#include "testing/mtl_cases.h"
 
 namespace mocograd {
 namespace {
 
 using autograd::Variable;
-using data::Batch;
-using data::TaskKind;
 
 const int kThreadCounts[] = {1, 2, 8};
 
@@ -170,56 +169,77 @@ TEST_F(ParallelDeterminismTest, BackwardIntoMatchesBackwardBitwise) {
   EXPECT_TRUE(BitIdentical(reference, it->second));
 }
 
-// End to end: the trainer's parallel per-task backward (K sweeps on K
-// workers, nested parallel GEMMs) must leave bit-identical parameters after
-// several optimization steps, for any pool size.
+// End to end over every model whose forward builds the K per-task tapes
+// concurrently (HPS, MMoE, CGC, EmbeddingHps) and whose K backward sweeps run
+// concurrently: several optimization steps must leave bit-identical
+// parameters and losses for any pool size and either executor. Both input
+// settings are covered: distinct per-task batches, and one shared input —
+// through the trainer (one tensor per batch) and as the same Variable passed
+// K times straight to Forward. Runs in CI's pool-2/8 and TSan steps, so the
+// concurrent tape build gets a race check.
 TEST_F(ParallelDeterminismTest, TrainerStepsBitIdenticalAcrossThreadCounts) {
-  auto run = [](int threads) {
+  constexpr int kTasks = 3;
+  // Everything one run produces, flattened for a bitwise comparison.
+  auto run = [](testing::MtlArch arch, bool distinct_inputs, int threads,
+                autograd::BackwardExecutor exec) {
     ThreadPool::SetGlobalNumThreads(threads);
-    Rng rng(123);
-    mtl::HpsConfig cfg;
-    cfg.input_dim = 48;
-    cfg.shared_dims = {96, 64};
-    cfg.task_output_dims = {1, 1, 1};
-    mtl::HpsModel model(cfg, rng);
-
-    Tensor x = Tensor::Randn({64, 48}, rng);
-    std::vector<Batch> batches;
-    for (int t = 0; t < 3; ++t) {
-      Tensor y = Tensor::Randn({64, 1}, rng);
-      batches.push_back(Batch{.x = x, .y = y, .labels = {}});
+    autograd::SetBackwardExecutor(exec);
+    testing::MtlCase c =
+        testing::MakeMtlCase(arch, /*seed=*/123, kTasks, distinct_inputs,
+                             /*rows=*/64);
+    std::vector<Tensor> out;
+    if (!distinct_inputs) {
+      // The same Variable K times: one shared leaf feeds every task tape.
+      const std::vector<Variable> same(kTasks,
+                                       Variable(c.batches[0].x, false));
+      std::vector<Variable> preds = c.model->Forward(same);
+      for (int t = 0; t < kTasks; ++t) {
+        out.push_back(preds[t].value());
+        autograd::MeanAll(preds[t]).Backward();
+      }
+      for (Variable* p : c.model->Parameters()) {
+        out.push_back(p->grad().Clone());
+      }
+      c.model->ZeroGrad();
     }
 
     auto aggregator = core::MakeAggregator("mocograd").value();
-    optim::Adam opt(model.Parameters(), 1e-2f);
-    mtl::MtlTrainer trainer(&model, aggregator.get(), &opt,
-                            {TaskKind::kRegression, TaskKind::kRegression,
-                             TaskKind::kRegression},
+    optim::Adam opt(c.model->Parameters(), 1e-2f);
+    mtl::MtlTrainer trainer(c.model.get(), aggregator.get(), &opt, c.kinds,
                             /*seed=*/17);
-    std::vector<float> losses;
     for (int step = 0; step < 4; ++step) {
-      mtl::StepStats stats = trainer.Step(batches);
-      losses.insert(losses.end(), stats.losses.begin(), stats.losses.end());
+      const mtl::StepStats stats = trainer.Step(c.batches);
+      out.push_back(Tensor::FromVector({kTasks}, stats.losses));
     }
-
-    std::vector<Tensor> params;
-    for (Variable* p : model.Parameters()) params.push_back(p->value().Clone());
-    return std::make_pair(params, losses);
+    for (const Tensor& pred : trainer.Predict(c.batches)) out.push_back(pred);
+    for (Variable* p : c.model->Parameters()) {
+      out.push_back(p->value().Clone());
+    }
+    return out;
   };
 
-  auto [params1, losses1] = run(1);
-  for (int threads : {2, 8}) {
-    auto [params, losses] = run(threads);
-    ASSERT_EQ(params.size(), params1.size());
-    for (size_t i = 0; i < params.size(); ++i) {
-      EXPECT_TRUE(BitIdentical(params1[i], params[i]))
-          << "parameter " << i << " differs at " << threads << " threads";
+  for (testing::MtlArch arch : testing::TaskSeparableMtlArchs()) {
+    for (bool distinct : {true, false}) {
+      SCOPED_TRACE(std::string(testing::MtlArchName(arch)) +
+                   (distinct ? " distinct inputs" : " one shared input"));
+      const std::vector<Tensor> reference =
+          run(arch, distinct, 1, autograd::BackwardExecutor::kSequential);
+      for (autograd::BackwardExecutor exec :
+           {autograd::BackwardExecutor::kSequential,
+            autograd::BackwardExecutor::kReadyQueue}) {
+        for (int threads : kThreadCounts) {
+          const std::vector<Tensor> got = run(arch, distinct, threads, exec);
+          ASSERT_EQ(got.size(), reference.size());
+          for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_TRUE(BitIdentical(reference[i], got[i]))
+                << "tensor " << i << " differs at " << threads
+                << " threads, "
+                << (exec == autograd::BackwardExecutor::kReadyQueue ? "ready"
+                                                                    : "seq");
+          }
+        }
+      }
     }
-    ASSERT_EQ(losses.size(), losses1.size());
-    EXPECT_EQ(std::memcmp(losses.data(), losses1.data(),
-                          losses.size() * sizeof(float)),
-              0)
-        << "losses differ at " << threads << " threads";
   }
 }
 
@@ -277,47 +297,6 @@ TEST_F(ParallelDeterminismTest, ConcurrentSharedTrunkSweepsBitIdentical) {
         }
       }
     }
-  }
-}
-
-// Regression for MOCOGRAD_AUTOGRAD_EXEC: the seq fallback and the default
-// ready engine must leave bit-identical parameters after full trainer steps.
-TEST_F(ParallelDeterminismTest, TrainerSeqVsReadyBitIdentical) {
-  auto run = [](autograd::BackwardExecutor exec) {
-    autograd::SetBackwardExecutor(exec);
-    ThreadPool::SetGlobalNumThreads(4);
-    Rng rng(321);
-    mtl::HpsConfig cfg;
-    cfg.input_dim = 32;
-    cfg.shared_dims = {64, 48};
-    cfg.task_output_dims = {1, 1};
-    mtl::HpsModel model(cfg, rng);
-
-    Tensor x = Tensor::Randn({48, 32}, rng);
-    std::vector<Batch> batches;
-    for (int t = 0; t < 2; ++t) {
-      Tensor y = Tensor::Randn({48, 1}, rng);
-      batches.push_back(Batch{.x = x, .y = y, .labels = {}});
-    }
-
-    auto aggregator = core::MakeAggregator("mocograd").value();
-    optim::Adam opt(model.Parameters(), 1e-2f);
-    mtl::MtlTrainer trainer(&model, aggregator.get(), &opt,
-                            {TaskKind::kRegression, TaskKind::kRegression},
-                            /*seed=*/29);
-    for (int step = 0; step < 3; ++step) trainer.Step(batches);
-
-    std::vector<Tensor> params;
-    for (Variable* p : model.Parameters()) params.push_back(p->value().Clone());
-    return params;
-  };
-
-  std::vector<Tensor> seq = run(autograd::BackwardExecutor::kSequential);
-  std::vector<Tensor> ready = run(autograd::BackwardExecutor::kReadyQueue);
-  ASSERT_EQ(seq.size(), ready.size());
-  for (size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_TRUE(BitIdentical(seq[i], ready[i]))
-        << "parameter " << i << " differs between seq and ready executors";
   }
 }
 

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "core/mocograd.h"
 #include "core/registry.h"
 #include "mtl/hps.h"
 #include "optim/optimizer.h"
+#include "testing/mtl_cases.h"
 
 namespace mocograd {
 namespace {
@@ -232,19 +234,67 @@ TEST(MtlTrainerTest, ConflictStatsReported) {
   EXPECT_EQ(stats.losses.size(), 2u);
 }
 
-TEST(MtlTrainerTest, PredictMatchesForwardValues) {
-  TinyProblem prob(17);
-  core::EqualWeight agg;
-  optim::Adam opt(prob.model->Parameters(), 1e-2f);
-  mtl::MtlTrainer trainer(prob.model.get(), &agg, &opt,
-                          {TaskKind::kRegression, TaskKind::kRegression}, 3);
-  auto preds = trainer.Predict(prob.batches);
-  ASSERT_EQ(preds.size(), 2u);
-  EXPECT_EQ(preds[0].shape(), (Shape{16, 1}));
-  // Predict must not mutate parameters or leave gradients behind.
-  auto preds2 = trainer.Predict(prob.batches);
-  for (int64_t i = 0; i < preds[0].NumElements(); ++i) {
-    EXPECT_FLOAT_EQ(preds[0][i], preds2[0][i]);
+bool BitIdentical(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.NumElements() * sizeof(float)) ==
+             0;
+}
+
+// Predict builds no tape, but it must return exactly the bits of a taped
+// Forward and hand every parameter its requires_grad flag back.
+TEST(MtlTrainerTest, PredictBitwiseEqualsForwardForEveryArchitecture) {
+  for (testing::MtlArch arch : testing::AllMtlArchs()) {
+    SCOPED_TRACE(testing::MtlArchName(arch));
+    testing::MtlCase c = testing::MakeMtlCase(
+        arch, /*seed=*/41, /*num_tasks=*/3, /*distinct_inputs=*/true);
+    core::EqualWeight agg;
+    optim::Adam opt(c.model->Parameters(), 1e-2f);
+    mtl::MtlTrainer trainer(c.model.get(), &agg, &opt, c.kinds, 3);
+
+    std::vector<Variable> inputs;
+    for (const Batch& b : c.batches) inputs.emplace_back(b.x, false);
+    const std::vector<Variable> taped = c.model->Forward(inputs);
+    const std::vector<Tensor> preds = trainer.Predict(c.batches);
+    ASSERT_EQ(preds.size(), taped.size());
+    for (size_t k = 0; k < preds.size(); ++k) {
+      EXPECT_TRUE(taped[k].requires_grad());
+      EXPECT_TRUE(BitIdentical(preds[k], taped[k].value())) << "task " << k;
+    }
+    for (Variable* p : c.model->Parameters()) {
+      EXPECT_TRUE(p->requires_grad());
+      EXPECT_FALSE(p->has_grad());
+    }
+  }
+}
+
+// A Predict between steps is observation-only: the next Step leaves
+// bit-identical parameters and losses to a run without it.
+TEST(MtlTrainerTest, PredictDoesNotPerturbTheNextStep) {
+  for (testing::MtlArch arch : testing::AllMtlArchs()) {
+    SCOPED_TRACE(testing::MtlArchName(arch));
+    auto run = [arch](bool predict) {
+      testing::MtlCase c = testing::MakeMtlCase(arch, /*seed=*/43, 3, true);
+      auto agg = core::MakeAggregator("mocograd").value();
+      optim::Adam opt(c.model->Parameters(), 1e-2f);
+      mtl::MtlTrainer trainer(c.model.get(), agg.get(), &opt, c.kinds, 5);
+      std::vector<Tensor> out;
+      for (int step = 0; step < 2; ++step) {
+        if (predict) trainer.Predict(c.batches);
+        const mtl::StepStats stats = trainer.Step(c.batches);
+        out.push_back(Tensor::FromVector(
+            {static_cast<int64_t>(stats.losses.size())}, stats.losses));
+      }
+      for (Variable* p : c.model->Parameters()) {
+        out.push_back(p->value().Clone());
+      }
+      return out;
+    };
+    const std::vector<Tensor> plain = run(false);
+    const std::vector<Tensor> with_predict = run(true);
+    ASSERT_EQ(plain.size(), with_predict.size());
+    for (size_t i = 0; i < plain.size(); ++i) {
+      EXPECT_TRUE(BitIdentical(plain[i], with_predict[i])) << "tensor " << i;
+    }
   }
 }
 

@@ -478,6 +478,77 @@ TEST_F(MgAnalyzeTest, SameFileDefinitionWinsOverAmbiguity) {
 }
 
 // ---------------------------------------------------------------------------
+// Concurrent per-task forward: no writes to shared mutable statics.
+// ---------------------------------------------------------------------------
+
+// A model whose Forward hands its per-task body to ForwardTasksConcurrently,
+// reaching nn::Layer::Forward through a member call (`layer_->Forward`).
+void WriteConcurrentModel(const fs::path& root) {
+  WriteFile(root / "src" / "mtl" / "model.cc",
+            "#include \"nn/layer.h\"\n"
+            "std::vector<Variable> Model::Forward(\n"
+            "    const std::vector<Variable>& in) {\n"
+            "  return ForwardTasksConcurrently(2, [&](int k) {\n"
+            "    return layer_->Forward(in[k]);\n"
+            "  });\n"
+            "}\n");
+}
+
+TEST_F(MgAnalyzeTest, FlagsStaticWriteReachableFromConcurrentForward) {
+  WriteConcurrentModel(root_);
+  WriteFile(root_ / "src" / "nn" / "layer.cc",
+            "namespace {\n"
+            "int g_calls = 0;\n"
+            "int NextId() {\n"
+            "  static int next = 0;\n"
+            "  return next++;\n"
+            "}\n"
+            "}  // namespace\n"
+            "Variable Layer::Forward(const Variable& x) {\n"
+            "  g_calls += 1;\n"
+            "  (void)NextId();\n"
+            "  return x;\n"
+            "}\n");
+  const AnalyzeResult r = RunAnalyze(root_);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("layer.cc:9: [task-parallel-static] write to "
+                          "namespace-scope mutable 'g_calls'"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("layer.cc:5: [task-parallel-static] write to "
+                          "function-static mutable 'next'"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("src/mtl/model.cc:4 via Forward -> Forward"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST_F(MgAnalyzeTest, ConstPerThreadAndUnreachableStaticsPass) {
+  WriteConcurrentModel(root_);
+  WriteFile(root_ / "src" / "nn" / "layer.cc",
+            "namespace {\n"
+            "const int kLimit = 4;\n"
+            "thread_local int t_calls = 0;\n"
+            "std::atomic<int> a_calls{0};\n"
+            "int g_total = 0;\n"
+            "struct Stats { int g_total = 0; };\n"
+            "}  // namespace\n"
+            "Variable Layer::Forward(const Variable& x) {\n"
+            "  static constexpr int kWidth = 8;\n"
+            "  ++t_calls;\n"
+            "  a_calls += 1;\n"
+            "  Stats s;\n"
+            "  s.g_total = kLimit + kWidth + g_total;\n"
+            "  if (g_total == 0) return x;\n"
+            "  return x;\n"
+            "}\n"
+            "void ResetForTests() { g_total = 0; }\n");
+  const AnalyzeResult r = RunAnalyze(root_);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
+// ---------------------------------------------------------------------------
 // ISA tier table completeness + isolation.
 // ---------------------------------------------------------------------------
 

@@ -21,6 +21,16 @@
 //                      accumulation commits in scheduling order; use the
 //                      ordered block reductions (tensor/ops.cc) or
 //                      integer-bit atomics (obs/metrics.cc).
+//   task-parallel-static
+//                      no function reachable from a caller of
+//                      mtl::ForwardTasksConcurrently (the models whose K
+//                      per-task forward tapes are built on pool workers)
+//                      may write a namespace-scope or function-static
+//                      mutable variable. Calls resolve by name to every
+//                      definition the layering allows (an over-
+//                      approximation: `trunk_->Forward` reaches every
+//                      Forward below mtl); const, constexpr, thread_local
+//                      and std::atomic variables are exempt.
 //   hot-path-alloc     no heap allocation or container growth inside
 //                      // MG_HOT_PATH ... // MG_HOT_PATH_END regions — and,
 //                      transitively, in any function reachable from a hot
@@ -71,6 +81,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -320,6 +331,62 @@ struct CallSite {
   int line = 0;
 };
 
+// Splits one code line into identifier and single-character tokens.
+void TokenizeLine(const std::string& line, int line_no,
+                  std::vector<Token>* toks) {
+  for (size_t i = 0; i < line.size();) {
+    const char c = line[i];
+    if (IsIdentStart(c)) {
+      size_t j = i + 1;
+      while (j < line.size() && IsIdentChar(line[j])) ++j;
+      toks->push_back({line.substr(i, j - i), line_no});
+      i = j;
+    } else if (!std::isspace(static_cast<unsigned char>(c))) {
+      toks->push_back({std::string(1, c), line_no});
+      ++i;
+    } else {
+      ++i;
+    }
+  }
+}
+
+// A namespace-scope or function-static variable that can be written.
+struct StaticVar {
+  std::string name;
+  int file = -1;
+  int line = 0;
+  int func = -1;  // owning function for a function-static; -1 at namespace
+};
+
+// The variable a declaration statement introduces, or "" when `stmt` is not
+// a mutable variable declaration: type/alias/function declarations, macro
+// calls, and const/constexpr/thread_local/std::atomic variables (immutable,
+// per-thread, or race-free by construction) all yield "".
+std::string MutableVarName(const std::vector<Token>& stmt) {
+  static const std::set<std::string> kSkipFirst = {
+      "using", "typedef", "template", "friend", "namespace", "static_assert",
+      "return"};
+  static const std::set<std::string> kSkipAny = {
+      "const",  "constexpr", "thread_local", "atomic", "operator",
+      "class",  "struct",    "enum",         "union"};
+  if (stmt.empty() || kSkipFirst.count(stmt[0].text) != 0) return "";
+  std::string name;
+  int idents = 0;
+  for (const Token& tk : stmt) {
+    if (kSkipAny.count(tk.text) != 0) return "";
+    if (tk.text == "(") return "";  // function declaration or macro call
+    if (tk.text == "=" || tk.text == "{" || tk.text == "[" ||
+        tk.text == ";") {
+      break;
+    }
+    if (IsIdentStart(tk.text[0]) && tk.text != "static") {
+      name = tk.text;
+      ++idents;
+    }
+  }
+  return idents >= 2 ? name : "";  // a type and a name
+}
+
 struct Function {
   std::string name;
   int file = -1;    // index into the file table
@@ -336,26 +403,17 @@ struct Function {
 // brace-init) opens a plain scope. Lambda and nested braces inside a body
 // attribute their call sites to the enclosing function — exactly what
 // reachability wants.
+//
+// Outside function bodies the walk also tracks which braces are namespaces
+// and records every mutable variable declared at namespace scope into
+// `ns_vars` (class members and locals are not namespace-scope).
 void IndexFile(const SourceFile& f, int file_idx,
-               std::vector<Function>* functions) {
+               std::vector<Function>* functions,
+               std::vector<StaticVar>* ns_vars) {
   std::vector<Token> toks;
   for (size_t li = 0; li < f.code.size(); ++li) {
     if (f.preproc[li]) continue;
-    const std::string& line = f.code[li];
-    for (size_t i = 0; i < line.size();) {
-      const char c = line[i];
-      if (IsIdentStart(c)) {
-        size_t j = i + 1;
-        while (j < line.size() && IsIdentChar(line[j])) ++j;
-        toks.push_back({line.substr(i, j - i), static_cast<int>(li) + 1});
-        i = j;
-      } else if (!std::isspace(static_cast<unsigned char>(c))) {
-        toks.push_back({std::string(1, c), static_cast<int>(li) + 1});
-        ++i;
-      } else {
-        ++i;
-      }
-    }
+    TokenizeLine(f.code[li], static_cast<int>(li) + 1, &toks);
   }
 
   static const std::set<std::string> body_openers = {
@@ -367,6 +425,20 @@ void IndexFile(const SourceFile& f, int file_idx,
   Function current;
   std::string stmt_call;  // first `ident(` since the last statement boundary
   std::string last_sig;
+  std::vector<Token> stmt;         // tokens since the last boundary
+  std::vector<bool> ns_scopes;     // per open brace: is it a namespace?
+  int parens = 0;  // open `(` of the current statement
+  auto at_namespace_scope = [&] {
+    return std::find(ns_scopes.begin(), ns_scopes.end(), false) ==
+           ns_scopes.end();
+  };
+  auto record_var = [&] {
+    if (!at_namespace_scope()) return;
+    const std::string name = MutableVarName(stmt);
+    if (!name.empty()) {
+      ns_vars->push_back({name, file_idx, stmt.front().line, -1});
+    }
+  };
 
   for (size_t t = 0; t < toks.size(); ++t) {
     const std::string& tk = toks[t].text;
@@ -383,6 +455,8 @@ void IndexFile(const SourceFile& f, int file_idx,
           functions->push_back(current);
           in_function = false;
           stmt_call.clear();
+          stmt.clear();
+          ns_scopes.pop_back();
         }
       } else if (IsIdentStart(tk[0]) && next == "(" &&
                  CallKeywords().count(tk) == 0) {
@@ -392,7 +466,12 @@ void IndexFile(const SourceFile& f, int file_idx,
       continue;
     }
 
-    if (tk == "{") {
+    if ((tk == "{" || tk == "}") && parens > 0) {
+      // A braced default argument or initializer inside a parameter list,
+      // not a scope.
+      depth += tk == "{" ? 1 : -1;
+      stmt.push_back(toks[t]);
+    } else if (tk == "{") {
       if (body_openers.count(last_sig) != 0 && !stmt_call.empty() &&
           CallKeywords().count(stmt_call) == 0) {
         in_function = true;
@@ -401,16 +480,34 @@ void IndexFile(const SourceFile& f, int file_idx,
         current.name = stmt_call;
         current.file = file_idx;
         current.begin = toks[t].line;
+      } else {
+        record_var();  // brace initializer: `T g{...}`, `T g = {...}`
       }
+      const bool is_namespace =
+          std::any_of(stmt.begin(), stmt.end(), [](const Token& s) {
+            return s.text == "namespace" || s.text == "extern";
+          });
+      ns_scopes.push_back(is_namespace);
       ++depth;
       stmt_call.clear();
+      stmt.clear();
     } else if (tk == "}") {
       --depth;
+      if (!ns_scopes.empty()) ns_scopes.pop_back();
       stmt_call.clear();
+      stmt.clear();
     } else if (tk == ";") {
+      record_var();
       stmt_call.clear();
-    } else if (stmt_call.empty() && IsIdentStart(tk[0]) && next == "(") {
-      stmt_call = tk;
+      stmt.clear();
+      parens = 0;
+    } else {
+      if (tk == "(") ++parens;
+      if (tk == ")" && parens > 0) --parens;
+      if (stmt_call.empty() && IsIdentStart(tk[0]) && next == "(") {
+        stmt_call = tk;
+      }
+      stmt.push_back(toks[t]);
     }
     last_sig = tk;
   }
@@ -889,6 +986,197 @@ void RunTransitiveHotPath(const std::vector<SourceFile>& files,
 }
 
 // ---------------------------------------------------------------------------
+// Concurrent per-task forward: no writes to shared mutable statics.
+// ---------------------------------------------------------------------------
+
+// True when `code` writes the variable `name`: assigns or compound-assigns
+// it (through any chain of `[i]`, `.field`, `->field`), increments or
+// decrements it, or calls a mutating container member on it. Occurrences
+// that are themselves members of another object (`x.name`) do not count.
+bool WritesVariable(const std::string& code, const std::string& name) {
+  static const std::set<std::string> kMutators = {
+      "push_back", "emplace_back", "emplace", "insert", "erase", "clear",
+      "resize",    "reserve",      "assign",  "swap",   "pop_back"};
+  size_t pos = 0;
+  while ((pos = code.find(name, pos)) != std::string::npos) {
+    const size_t at = pos;
+    pos += name.size();
+    if (at > 0 && IsIdentChar(code[at - 1])) continue;
+    if (at + name.size() < code.size() &&
+        IsIdentChar(code[at + name.size()])) {
+      continue;
+    }
+    size_t b = at;
+    while (b > 0 && code[b - 1] == ' ') --b;
+    if (b > 0 && (code[b - 1] == '.' || (b > 1 && code[b - 1] == '>' &&
+                                         code[b - 2] == '-'))) {
+      continue;
+    }
+    if (b > 1 && (code.compare(b - 2, 2, "++") == 0 ||
+                  code.compare(b - 2, 2, "--") == 0)) {
+      return true;
+    }
+    size_t i = at + name.size();
+    std::string member;  // last `.field` / `->field` in the chain
+    for (;;) {
+      while (i < code.size() && code[i] == ' ') ++i;
+      if (i < code.size() && code[i] == '[') {
+        int depth = 0;
+        for (; i < code.size(); ++i) {
+          if (code[i] == '[') ++depth;
+          if (code[i] == ']' && --depth == 0) break;
+        }
+        if (i < code.size()) ++i;  // past the `]` (unclosed: end of line)
+      } else if (i < code.size() &&
+                 (code[i] == '.' || code.compare(i, 2, "->") == 0)) {
+        i += code[i] == '.' ? 1 : 2;
+        while (i < code.size() && code[i] == ' ') ++i;
+        const size_t m = i;
+        while (i < code.size() && IsIdentChar(code[i])) ++i;
+        member = code.substr(m, i - m);
+      } else {
+        break;
+      }
+    }
+    if (i < code.size() && code[i] == '(' && kMutators.count(member) != 0) {
+      return true;
+    }
+    if (code.compare(i, 2, "++") == 0 || code.compare(i, 2, "--") == 0) {
+      return true;
+    }
+    if (code.compare(i, 2, "==") == 0) continue;
+    for (const char* op : {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=",
+                           "^=", "<<=", ">>="}) {
+      if (code.compare(i, std::strlen(op), op) == 0) return true;
+    }
+  }
+  return false;
+}
+
+// Function-statics declared on the body lines of `fn`.
+void CollectFunctionStatics(const SourceFile& f, const Function& fn,
+                            int func_id, std::vector<StaticVar>* out) {
+  for (int li = fn.begin; li <= fn.end && li <= static_cast<int>(f.code.size());
+       ++li) {
+    const std::string& code = f.code[static_cast<size_t>(li) - 1];
+    size_t at = 0;
+    if (f.preproc[static_cast<size_t>(li) - 1] ||
+        !HasWholeToken(code, "static", &at)) {
+      continue;
+    }
+    std::vector<Token> toks;
+    TokenizeLine(code.substr(at), li, &toks);
+    const std::string name = MutableVarName(toks);
+    if (!name.empty()) out->push_back({name, fn.file, li, func_id});
+  }
+}
+
+void RunTaskParallelStatics(const std::vector<SourceFile>& files,
+                            const CallGraph& graph,
+                            const std::vector<StaticVar>& ns_vars,
+                            std::vector<Violation>* violations) {
+  const std::string kHelper = "ForwardTasksConcurrently";
+  const auto& ranks = LayerRanks();
+  // Every definition a call from `from_file` may reach: same-file ones plus
+  // any whose module the layering lets `from_file` include. Deliberately
+  // inclusive — member calls through pointers (`trunk_->Forward`) must reach
+  // every candidate body.
+  auto resolve = [&](const std::string& name, int from_file) {
+    std::vector<int> out;
+    const auto it = graph.by_name.find(name);
+    if (it == graph.by_name.end()) return out;
+    const auto from_rank = ranks.find(files[from_file].dir);
+    for (int id : it->second) {
+      const SourceFile& target = files[graph.functions[id].file];
+      const auto to_rank = ranks.find(target.dir);
+      if (graph.functions[id].file == from_file ||
+          target.dir == files[from_file].dir || from_rank == ranks.end() ||
+          (to_rank != ranks.end() && to_rank->second < from_rank->second)) {
+        out.push_back(id);
+      }
+    }
+    return out;
+  };
+
+  std::vector<StaticVar> fn_statics;
+  for (size_t id = 0; id < graph.functions.size(); ++id) {
+    const Function& fn = graph.functions[id];
+    CollectFunctionStatics(files[fn.file], fn, static_cast<int>(id),
+                           &fn_statics);
+  }
+
+  struct WorkItem {
+    int func;
+    std::string origin;
+    std::string chain;
+  };
+  std::vector<WorkItem> queue;
+  std::set<int> visited;
+  for (size_t id = 0; id < graph.functions.size(); ++id) {
+    const Function& fn = graph.functions[id];
+    for (const CallSite& c : fn.calls) {
+      if (c.name != kHelper) continue;
+      if (visited.insert(static_cast<int>(id)).second) {
+        queue.push_back({static_cast<int>(id),
+                         files[fn.file].rel + ":" + std::to_string(c.line),
+                         fn.name});
+      }
+    }
+  }
+
+  while (!queue.empty()) {
+    const WorkItem item = queue.back();
+    queue.pop_back();
+    const Function& fn = graph.functions[item.func];
+    const SourceFile& f = files[fn.file];
+
+    // Variables visible here: this function's statics, and namespace-scope
+    // variables of its own file or of a project header it includes.
+    std::vector<const StaticVar*> visible;
+    for (const StaticVar& v : fn_statics) {
+      if (v.func == item.func) visible.push_back(&v);
+    }
+    for (const StaticVar& v : ns_vars) {
+      const SourceFile& decl = files[v.file];
+      if (v.file == fn.file ||
+          std::find(f.includes.begin(), f.includes.end(), decl.under_src) !=
+              f.includes.end()) {
+        visible.push_back(&v);
+      }
+    }
+    const int last = std::min(fn.end, static_cast<int>(f.code.size()));
+    for (int li = fn.begin; li <= last; ++li) {
+      const size_t idx = static_cast<size_t>(li) - 1;
+      if (f.preproc[idx] || IsAllowed(f, idx, "task-parallel-static")) {
+        continue;
+      }
+      for (const StaticVar* v : visible) {
+        if (v->file == fn.file && v->line == li) continue;  // declaration
+        if (!WritesVariable(f.code[idx], v->name)) continue;
+        violations->push_back(
+            {f.rel, li, "task-parallel-static",
+             std::string("write to ") +
+                 (v->func < 0 ? "namespace-scope" : "function-static") +
+                 " mutable '" + v->name + "' (" + files[v->file].rel + ":" +
+                 std::to_string(v->line) +
+                 ") reachable from the concurrent per-task forward at " +
+                 item.origin + " via " + item.chain +
+                 " — task tapes are built on pool workers; keep the state "
+                 "per call, or make it thread_local or std::atomic"});
+        break;
+      }
+    }
+
+    for (const CallSite& c : fn.calls) {
+      for (int target : resolve(c.name, fn.file)) {
+        if (!visited.insert(target).second) continue;
+        queue.push_back({target, item.origin, item.chain + " -> " + c.name});
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // ISA tier rules.
 // ---------------------------------------------------------------------------
 
@@ -1203,13 +1491,15 @@ int main(int argc, char** argv) {
   // Symbol index + transitive hot-path analysis.
   CallGraph graph;
   graph.files = &files;
+  std::vector<StaticVar> ns_vars;
   for (size_t fi = 0; fi < files.size(); ++fi) {
-    IndexFile(files[fi], static_cast<int>(fi), &graph.functions);
+    IndexFile(files[fi], static_cast<int>(fi), &graph.functions, &ns_vars);
   }
   for (size_t id = 0; id < graph.functions.size(); ++id) {
     graph.by_name[graph.functions[id].name].push_back(static_cast<int>(id));
   }
   RunTransitiveHotPath(files, graph, &violations);
+  RunTaskParallelStatics(files, graph, ns_vars, &violations);
 
   // ISA tier completeness + isolation.
   RunTierRules(files, &violations);
