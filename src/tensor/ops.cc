@@ -45,28 +45,34 @@ double BlockedReduce(int64_t n, BlockFn block_fn) {
 // pa, pb, po)` is the op's vectorized span kernel (a vec::Ew* front-end
 // routed through the per-tier table — 8-lane blocks with a scalar tail
 // doing the identical per-element arithmetic); `fn(x, y)` is the same op
-// on one float pair, used by the strided broadcast walk. Shapes are padded
-// to a common rank; strides of broadcast (size-1) axes are zero. Every
-// output element is written independently, so flat-index ranges
-// parallelize with bit-identical results.
+// on one float pair. Shapes are padded to a common rank; strides of
+// broadcast (size-1) axes are zero. Mismatched shapes are walked one row
+// of the output's last axis at a time: each operand's row offset is
+// resolved once per row, and along the row its stride is 1 or 0, so a row
+// is either a span_fn call (both contiguous, which includes every
+// one-element row) or a loop against the broadcast operand's scalar.
+// Since span_fn ≡ fn per element on every tier, each output element is
+// fn(a_elem, b_elem) on both paths, and every element is written
+// independently, so row ranges parallelize with bit-identical results.
 template <typename SpanFn, typename Fn>
 Tensor BroadcastBinary(const Tensor& a, const Tensor& b, SpanFn span_fn,
                        Fn fn) {
   MG_CHECK(a.defined() && b.defined());
   const Shape out_shape = Shape::Broadcast(a.shape(), b.shape());
   Tensor out(out_shape);
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out.data();
+  const int64_t n = out.NumElements();
 
   // Fast path: identical shapes — vectorized.
   if (a.shape() == b.shape()) {
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* po = out.data();
-    const int64_t n = out.NumElements();
     ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
       span_fn(i1 - i0, pa + i0, pb + i0, po + i0);
     });
     return out;
   }
+  if (n == 0) return out;
 
   const int rank = out_shape.Rank();
   auto padded_strides = [&](const Tensor& t) {
@@ -81,22 +87,33 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, SpanFn span_fn,
   const std::vector<int64_t> sa = padded_strides(a);
   const std::vector<int64_t> sb = padded_strides(b);
   const std::vector<int64_t> so = out_shape.Strides();
+  const int64_t inner = out_shape.Dim(rank - 1);
+  const bool a_row = inner == 1 || sa[rank - 1] != 0;
+  const bool b_row = inner == 1 || sb[rank - 1] != 0;
 
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  const int64_t n = out.NumElements();
-  ParallelFor(0, n, kElemGrain, [&](int64_t f0, int64_t f1) {
-    for (int64_t flat = f0; flat < f1; ++flat) {
+  ParallelFor(0, n / inner, std::max<int64_t>(1, kElemGrain / inner),
+              [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
       int64_t oa = 0, ob = 0;
-      int64_t rem = flat;
-      for (int d = 0; d < rank; ++d) {
+      int64_t rem = r * inner;
+      for (int d = 0; d < rank - 1; ++d) {
         const int64_t i = rem / so[d];
         rem -= i * so[d];
         oa += i * sa[d];
         ob += i * sb[d];
       }
-      po[flat] = fn(pa[oa], pb[ob]);
+      const float* ra = pa + oa;
+      const float* rb = pb + ob;
+      float* ro = po + r * inner;
+      if (a_row && b_row) {
+        span_fn(inner, ra, rb, ro);
+      } else if (a_row) {
+        const float y = *rb;
+        for (int64_t j = 0; j < inner; ++j) ro[j] = fn(ra[j], y);
+      } else {
+        const float x = *ra;
+        for (int64_t j = 0; j < inner; ++j) ro[j] = fn(x, rb[j]);
+      }
     }
   });
   return out;

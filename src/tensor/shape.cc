@@ -24,7 +24,7 @@ Shape Shape::Broadcast(const Shape& a, const Shape& b) {
     const int64_t db = i < rank - b.Rank() ? 1 : b.Dim(i - (rank - b.Rank()));
     MG_CHECK(da == db || da == 1 || db == 1, "cannot broadcast ",
              a.ToString(), " with ", b.ToString());
-    out[i] = std::max(da, db);
+    out[i] = da == 1 ? db : da;  // a 0-extent axis stays 0
   }
   return Shape(std::move(out));
 }

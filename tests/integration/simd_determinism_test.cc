@@ -330,6 +330,12 @@ TEST_F(SimdDeterminismTest, AllTiersBitIdentical) {
   Tensor ba = Tensor::Randn({bm, k}, rng);
   Tensor bb = Tensor::Randn({k, bn}, rng);
   Tensor ew = Tensor::Randn({10007}, rng);
+  // Broadcast row walk above the parallel grain: a bias-style row
+  // broadcast (span kernel per row) and a gate-style column broadcast
+  // (one operand's scalar per row).
+  Tensor bc = Tensor::Randn({1024, 37}, rng);
+  Tensor bc_row = Tensor::Randn({37}, rng);
+  Tensor bc_col = Tensor::Randn({1024, 1}, rng);
   std::vector<uint16_t> b16(static_cast<size_t>(k) * n);
   for (size_t i = 0; i < b16.size(); ++i) b16[i] = Bf16FromF32(bb.data()[i]);
   // GramF64 through GradMatrix::Gram: 9 rows (two 4-wide j blocks plus a
@@ -342,7 +348,7 @@ TEST_F(SimdDeterminismTest, AllTiersBitIdentical) {
   const std::vector<simd::IsaTier> tiers = AvailableTiers();
   ASSERT_FALSE(tiers.empty());
 
-  Tensor ref_c, ref_blk, ref_relu, ref_opt;
+  Tensor ref_c, ref_blk, ref_relu, ref_opt, ref_bc_add, ref_bc_mul;
   std::vector<float> ref_bf16, ref_bf16_row;
   std::vector<std::vector<double>> ref_gram;
   float ref_sum = 0.0f;
@@ -365,6 +371,8 @@ TEST_F(SimdDeterminismTest, AllTiersBitIdentical) {
       GemmBf16B(1, n, k, a.data(), k, b16.data(), n, cbf_row.data(), n);
       Tensor relu = tops::Relu(ew);
       const float sum = tops::SumAll(ew);
+      Tensor bc_add = tops::Add(bc, bc_row);
+      Tensor bc_mul = tops::Mul(bc, bc_col);
       Rng wrng(5), grng(6);
       Variable w(Tensor::Randn({13, 7}, wrng), /*requires_grad=*/true);
       optim::Adam opt({&w}, 1e-2f);
@@ -380,6 +388,8 @@ TEST_F(SimdDeterminismTest, AllTiersBitIdentical) {
         ref_bf16_row = cbf_row;
         ref_relu = relu;
         ref_sum = sum;
+        ref_bc_add = bc_add;
+        ref_bc_mul = bc_mul;
         ref_opt = w.value().Clone();
         ref_gram = gram;
         // The bf16 batched rows and the m == 1 row agree per element
@@ -407,6 +417,12 @@ TEST_F(SimdDeterminismTest, AllTiersBitIdentical) {
         EXPECT_EQ(std::memcmp(&sum, &ref_sum, sizeof(float)), 0)
             << "SumAll differs (tier=" << name << ", threads=" << threads
             << ")";
+        EXPECT_TRUE(BitIdentical(ref_bc_add, bc_add))
+            << "row-broadcast Add differs (tier=" << name
+            << ", threads=" << threads << ")";
+        EXPECT_TRUE(BitIdentical(ref_bc_mul, bc_mul))
+            << "column-broadcast Mul differs (tier=" << name
+            << ", threads=" << threads << ")";
         EXPECT_TRUE(BitIdentical(ref_opt, w.value()))
             << "Adam differs (tier=" << name << ", threads=" << threads
             << ")";
