@@ -14,7 +14,7 @@
 //   naive      — the pre-SIMD i-k-j loop, compiled without AVX so the
 //                numbers reproduce the seed build's codegen,
 //   scalar     — the kernel on the lane-blocked scalar backend
-//                (MOCOGRAD_SIMD=0 path),
+//                (the MOCOGRAD_SIMD_ISA=scalar tier),
 //   simd       — the kernel on the widest ISA tier the runtime dispatch
 //                granted at startup (recorded as "isa_tier"; cap it with
 //                MOCOGRAD_SIMD_ISA to benchmark a narrower tier),
@@ -154,9 +154,10 @@ int Main(int argc, char** argv) {
           NaiveGemm(s.trans_a, s.trans_b, s.m, s.n, s.k, 1.0f, a.data(), lda,
                     b.data(), ldb, 0.0f, c.data(), s.n);
         });
-    simd::SetEnabled(false);
+    const simd::IsaTier tier = simd::ActiveTier();
+    simd::SetTier(simd::IsaTier::kScalar);
     const double scalar = TimeGFlops(s.m, s.n, s.k, reps, run_gemm);
-    simd::SetEnabled(true);
+    simd::SetTier(tier);
     const double simd_gf = TimeGFlops(s.m, s.n, s.k, reps, run_gemm);
 
     // Pool sweep: same kernel through a 4-thread pool.

@@ -1,18 +1,20 @@
-// Backward-sweep executors (docs/AUTOGRAD.md).
+// Backward-sweep engines (docs/AUTOGRAD.md).
 //
 // Two engines produce bit-identical gradients from the same tape:
 //
-//  - kSequential replays the tape linearly in reverse topological order on
-//    the calling thread (the original engine).
-//  - kReadyQueue turns the same reverse-topological order into a
-//    dependency-counted task graph: every gradient edge (consumer, argument
-//    index) gets its own accumulation slot, numbered in the exact order the
-//    sequential engine would have accumulated contributions, and a node
-//    becomes runnable when all of its slots are filled. The caller and idle
-//    ThreadPool workers pop ready nodes, run their grad_fn, fill parent
-//    slots, and enqueue newly-ready parents — so independent branches of one
-//    sweep run concurrently, and several sweeps over a shared read-only tape
-//    overlap at node granularity.
+//  - The sequential replay walks the tape linearly in reverse topological
+//    order on the calling thread (the original engine). It is kept as the
+//    test oracle (RunBackwardSequentialForTesting).
+//  - The ready-queue engine, behind every RunBackward, turns the same
+//    reverse-topological order into a dependency-counted task graph: every
+//    gradient edge (consumer, argument index) gets its own accumulation
+//    slot, numbered in the exact order the sequential engine would have
+//    accumulated contributions, and a node becomes runnable when all of its
+//    slots are filled. The caller and idle ThreadPool workers pop ready
+//    nodes, run their grad_fn, fill parent slots, and enqueue newly-ready
+//    parents — so independent branches of one sweep run concurrently, and
+//    several sweeps over a shared read-only tape overlap at node
+//    granularity.
 //
 // Determinism: a node's merged gradient is slot[0] plus the remaining slots
 // added in slot order — byte-for-byte the sequence of AddInPlace calls the
@@ -22,7 +24,6 @@
 
 #include "autograd/executor.h"
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -33,7 +34,6 @@
 #include <vector>
 
 #include "base/check.h"
-#include "base/env.h"
 #include "base/mutex.h"
 #include "base/thread_pool.h"
 #include "obs/metrics.h"
@@ -44,20 +44,6 @@ namespace mocograd {
 namespace autograd {
 
 namespace {
-
-int ParseExecutorFromEnv() {
-  const std::string v = GetEnvString("MOCOGRAD_AUTOGRAD_EXEC", "ready");
-  if (v == "seq") return static_cast<int>(BackwardExecutor::kSequential);
-  // "ready", unset, and unrecognized values all select the ready-queue
-  // engine — an env typo must never abort or slow a training run
-  // (base/env.h fall-back-silently contract).
-  return static_cast<int>(BackwardExecutor::kReadyQueue);
-}
-
-std::atomic<int>& ExecutorSlot() {
-  static std::atomic<int> executor{ParseExecutorFromEnv()};
-  return executor;
-}
 
 // Iterative post-order DFS over the requires_grad subgraph reachable from
 // `root`: parents appear before their users, so the reversed vector is the
@@ -129,7 +115,6 @@ void CheckParentGrad(const Node* n, const Node* p, const Tensor& pg) {
 
 void RunSequential(Node* root, const Tensor& seed,
                    Variable::GradSink* sink) {
-  MG_METRIC_COUNT("autograd.sweeps.seq", 1);
   const std::vector<Node*> order = TopoPostOrder(root);
 
   // Per-sweep upstream accumulators, separate from node->grad so that
@@ -496,21 +481,13 @@ void RunReadyQueue(Node* root, const Tensor& seed,
 
 }  // namespace
 
-BackwardExecutor CurrentBackwardExecutor() {
-  return static_cast<BackwardExecutor>(
-      ExecutorSlot().load(std::memory_order_relaxed));
-}
-
-void SetBackwardExecutor(BackwardExecutor executor) {
-  ExecutorSlot().store(static_cast<int>(executor), std::memory_order_relaxed);
-}
-
 void RunBackward(Node* root, const Tensor& seed, Variable::GradSink* sink) {
-  if (CurrentBackwardExecutor() == BackwardExecutor::kReadyQueue) {
-    RunReadyQueue(root, seed, sink);
-  } else {
-    RunSequential(root, seed, sink);
-  }
+  RunReadyQueue(root, seed, sink);
+}
+
+void RunBackwardSequentialForTesting(Node* root, const Tensor& seed,
+                                     Variable::GradSink* sink) {
+  RunSequential(root, seed, sink);
 }
 
 }  // namespace autograd

@@ -1,5 +1,5 @@
-#ifndef MOCOGRAD_AUTOGRAD_EXECUTOR_H_
-#define MOCOGRAD_AUTOGRAD_EXECUTOR_H_
+#ifndef MOCOGRAD_AUTOGRAD_BACKWARD_ENGINE_H_
+#define MOCOGRAD_AUTOGRAD_BACKWARD_ENGINE_H_
 
 #include "autograd/variable.h"
 #include "tensor/tensor.h"
@@ -7,43 +7,28 @@
 namespace mocograd {
 namespace autograd {
 
-/// Which engine a backward sweep runs on. Both engines produce bit-identical
-/// gradients — the ready-queue engine's fixed per-edge accumulation slots
-/// replay the sequential engine's accumulation order exactly — so the choice
-/// is purely a scheduling one. See docs/AUTOGRAD.md.
-enum class BackwardExecutor {
-  /// Linear tape replay on the calling thread: one reverse-topological walk,
-  /// each node executed in turn. Kernels inside grad_fns still parallelize.
-  kSequential,
-  /// Dependency-counted ready-queue execution on the global ThreadPool:
-  /// a one-time graph pass computes per-node outstanding-input counts, then
-  /// the caller and idle pool workers pop ready nodes, run their grad_fn,
-  /// decrement consumers, and enqueue newly-ready nodes — independent
-  /// branches of one sweep run concurrently, and concurrent sweeps over a
-  /// shared tape interleave at node granularity.
-  kReadyQueue,
-};
-
-/// The process-wide executor selection. Initialized from the
-/// MOCOGRAD_AUTOGRAD_EXEC environment variable on first use ("seq" or
-/// "ready"; default "ready", unrecognized values fall back silently per the
-/// base/env.h contract).
-BackwardExecutor CurrentBackwardExecutor();
-
-/// Overrides the executor at runtime (tests and A/B benchmarks). Takes
-/// effect for sweeps started after the call; do not flip it while sweeps
-/// are in flight.
-void SetBackwardExecutor(BackwardExecutor executor);
-
 /// Runs one reverse-mode sweep from `root` with the given seed on the
-/// currently selected executor. `sink == nullptr` accumulates into each
-/// node's persistent grad buffer (Variable::Backward semantics); otherwise
-/// leaf gradients accumulate into `*sink` and the tape is never written
-/// (Variable::BackwardInto semantics). Entry point for Variable::Backward*;
-/// callers go through those.
+/// dependency-counted ready-queue engine: a one-time graph pass computes
+/// per-node outstanding-input counts, then the caller and idle ThreadPool
+/// workers pop ready nodes, run their grad_fn, and enqueue newly-ready
+/// nodes — independent branches of one sweep run concurrently, and
+/// concurrent sweeps over a shared tape interleave at node granularity.
+/// `sink == nullptr` accumulates into each node's persistent grad buffer
+/// (Variable::Backward semantics); otherwise leaf gradients accumulate into
+/// `*sink` and the tape is never written (Variable::BackwardInto semantics).
+/// Entry point for Variable::Backward*; callers go through those.
 void RunBackward(Node* root, const Tensor& seed, Variable::GradSink* sink);
+
+/// The reference implementation RunBackward is tested against: a linear
+/// tape replay in reverse topological order on the calling thread. Same
+/// arguments and destinations as RunBackward, and bit-identical results —
+/// the ready-queue engine's fixed per-edge accumulation slots replay this
+/// engine's accumulation order exactly (docs/AUTOGRAD.md). Never called by
+/// the library; tests only.
+void RunBackwardSequentialForTesting(Node* root, const Tensor& seed,
+                                     Variable::GradSink* sink);
 
 }  // namespace autograd
 }  // namespace mocograd
 
-#endif  // MOCOGRAD_AUTOGRAD_EXECUTOR_H_
+#endif  // MOCOGRAD_AUTOGRAD_BACKWARD_ENGINE_H_

@@ -96,10 +96,9 @@ void Variable::BackwardImpl(const Tensor& seed, GradSink* sink) const {
   MG_CHECK(seed.shape() == value().shape(), "Backward seed shape ",
            seed.shape().ToString(), " vs value ", value().shape().ToString());
   if (!node_->requires_grad) return;
-  // The sweep itself lives in autograd/executor.cc: a linear tape replay
-  // (seq) or the dependency-counted ready-queue engine (ready, the default),
-  // selected by MOCOGRAD_AUTOGRAD_EXEC / SetBackwardExecutor. Both produce
-  // bit-identical gradients — see docs/AUTOGRAD.md.
+  // The sweep itself lives in autograd/executor.cc: the dependency-counted
+  // ready-queue engine, bit-identical to a linear tape replay — see
+  // docs/AUTOGRAD.md.
   RunBackward(node_.get(), seed, sink);
 }
 

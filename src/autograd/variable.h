@@ -86,11 +86,10 @@ class Variable {
   /// from different threads with distinct sinks — this is what the trainer's
   /// parallel per-task backward builds on. A sink's contents are
   /// bit-identical to what Backward() would have left in the leaves' grad
-  /// buffers (from a zeroed state) on either executor: the default
-  /// ready-queue engine runs independent tape branches concurrently but
-  /// merges gradient contributions through fixed per-edge slots in the
-  /// sequential engine's accumulation order (autograd/executor.h,
-  /// docs/AUTOGRAD.md).
+  /// buffers (from a zeroed state): the ready-queue engine runs independent
+  /// tape branches concurrently but merges gradient contributions through
+  /// fixed per-edge slots in the sequential replay's accumulation order
+  /// (autograd/executor.h, docs/AUTOGRAD.md).
   void BackwardInto(GradSink* sink) const;
   void BackwardInto(const Tensor& seed, GradSink* sink) const;
 
@@ -99,8 +98,8 @@ class Variable {
 
  private:
   /// Shared entry behind Backward/BackwardInto; sink == nullptr selects the
-  /// persistent node->grad destination. Dispatches to the executor selected
-  /// by MOCOGRAD_AUTOGRAD_EXEC (autograd/executor.h).
+  /// persistent node->grad destination. Runs the ready-queue engine
+  /// (autograd/executor.h).
   void BackwardImpl(const Tensor& seed, GradSink* sink) const;
 
   std::shared_ptr<Node> node_;

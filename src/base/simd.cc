@@ -47,17 +47,12 @@ IsaTier ClampToAvailable(IsaTier ceiling) {
   return IsaTier::kScalar;
 }
 
-// Best tier the CPU and build support, ignoring env knobs.
-IsaTier BestAvailableTier() {
-  static const IsaTier best = ClampToAvailable(IsaTier::kAvx512);
-  return best;
-}
-
-// Best tier after the MOCOGRAD_SIMD_ISA ceiling. "auto", unset, or an
-// unrecognized value mean no ceiling — env typos fall back silently, the
-// same contract every other knob follows.
-IsaTier EnvCeilingBestTier() {
-  static const IsaTier best = [] {
+// First use reads the MOCOGRAD_SIMD_ISA ceiling and lands on the best
+// available tier under it. "auto", unset, or an unrecognized value mean no
+// ceiling — env typos fall back silently, the same contract every other
+// knob follows.
+std::atomic<int>& TierState() {
+  static std::atomic<int> tier([] {
     const std::string isa = GetEnvString("MOCOGRAD_SIMD_ISA", "auto");
     IsaTier ceiling = IsaTier::kAvx512;
     if (isa == "scalar") {
@@ -69,19 +64,8 @@ IsaTier EnvCeilingBestTier() {
     } else if (isa == "avx2") {
       ceiling = IsaTier::kAvx2;
     }
-    return ClampToAvailable(ceiling);
-  }();
-  return best;
-}
-
-std::atomic<int>& TierState() {
-  // First use reads the knobs: MOCOGRAD_SIMD=0 forces the scalar tier
-  // outright (the historical on/off switch); otherwise MOCOGRAD_SIMD_ISA
-  // caps the auto-probed tier.
-  static std::atomic<int> tier(
-      GetEnvInt("MOCOGRAD_SIMD", 1, 0, 1) == 0
-          ? static_cast<int>(IsaTier::kScalar)
-          : static_cast<int>(EnvCeilingBestTier()));
+    return static_cast<int>(ClampToAvailable(ceiling));
+  }());
   return tier;
 }
 
@@ -110,14 +94,6 @@ const char* TierName(IsaTier tier) {
       return "avx512";
   }
   return "unknown";
-}
-
-bool Enabled() { return ActiveTier() != IsaTier::kScalar; }
-
-void SetEnabled(bool enabled) {
-  TierState().store(static_cast<int>(enabled ? EnvCeilingBestTier()
-                                             : IsaTier::kScalar),
-                    std::memory_order_relaxed);
 }
 
 const char* ActiveBackendName() { return TierName(ActiveTier()); }

@@ -9,7 +9,7 @@
 // fused multiply-add) or a pure bit operation (abs/neg) or a
 // comparison-select (Max/Min), so a kernel written against this header
 // produces bit-identical results on every backend — across ISA tiers,
-// across the MOCOGRAD_SIMD / MOCOGRAD_SIMD_ISA runtime knobs, and across
+// across the MOCOGRAD_SIMD_ISA runtime ceiling, and across
 // thread counts (lane blocking never crosses the fixed reduction blocks of
 // tensor/ops.cc). See docs/SIMD.md for the full contract and how to add a
 // backend.
@@ -42,11 +42,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <type_traits>
 
 #include "base/bf16.h"
 
-#if !defined(MOCOGRAD_SIMD_FORCE_SCALAR)
 #if defined(__SSE2__) || defined(_M_X64)
 #define MOCOGRAD_SIMD_SSE 1
 #include <immintrin.h>
@@ -62,7 +60,6 @@
     defined(__ARM_NEON)
 #define MOCOGRAD_SIMD_NEON 1
 #include <arm_neon.h>
-#endif
 #endif
 
 namespace mocograd {
@@ -538,24 +535,6 @@ struct NeonBackend {
 };
 #endif
 
-// The best backend available *in this TU* — what Dispatch() below uses. In
-// baseline TUs on x86-64 this is the SSE backend; only the per-tier kernel
-// TUs see AVX2/AVX-512 here.
-#if defined(MOCOGRAD_SIMD_AVX2)
-using HwBackend = Avx2Backend;
-#elif defined(MOCOGRAD_SIMD_NEON)
-using HwBackend = NeonBackend;
-#elif defined(MOCOGRAD_SIMD_SSE)
-using HwBackend = SseBackend;
-#else
-using HwBackend = ScalarBackend;
-#endif
-
-/// True when a hardware backend was compiled in (the MOCOGRAD_SIMD knob has
-/// something to switch off).
-inline constexpr bool kHasHardwareBackend =
-    !std::is_same_v<HwBackend, ScalarBackend>;
-
 // ---------------------------------------------------------------------------
 // Runtime kernel-tier state (defined in base/simd.cc). The process probes
 // the CPU once (base/cpu.h), intersects it with the tiers the build
@@ -586,28 +565,8 @@ void SetTier(IsaTier tier);
 /// "avx512" / "avx2" / "sse" / "neon" / "scalar".
 const char* TierName(IsaTier tier);
 
-/// True when the active tier is anything above scalar. Initialized from the
-/// MOCOGRAD_SIMD (on/off) and MOCOGRAD_SIMD_ISA (ceiling) knobs.
-bool Enabled();
-
-/// SetEnabled(false) forces the scalar tier; SetEnabled(true) restores the
-/// best tier the CPU, build and MOCOGRAD_SIMD_ISA ceiling allow. Tests use
-/// this to compare paths within one process.
-void SetEnabled(bool enabled);
-
 /// TierName(ActiveTier()).
 const char* ActiveBackendName();
-
-/// Invokes `fn` with this TU's best backend tag when the active tier is
-/// above scalar, fn(ScalarBackend{}) otherwise. `fn` is a generic lambda;
-/// both instantiations must have the same return type. Cold-path helper —
-/// hot kernels route through the per-tier function tables instead, which
-/// honour the full tier ladder rather than this TU's compile flags.
-template <typename Fn>
-decltype(auto) Dispatch(Fn&& fn) {
-  if (Enabled()) return fn(HwBackend{});
-  return fn(ScalarBackend{});
-}
 
 }  // namespace simd
 }  // namespace mocograd

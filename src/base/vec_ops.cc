@@ -6,8 +6,8 @@ namespace mocograd {
 namespace vec {
 
 // Thin front-ends over the per-tier kernel table: each call looks the
-// active tier up (one relaxed atomic load) so tests and the MOCOGRAD_SIMD /
-// MOCOGRAD_SIMD_ISA knobs can flip the tier mid-process. The kernel bodies
+// active tier up (one relaxed atomic load) so tests (simd::SetTier) can
+// flip the tier mid-process. The kernel bodies
 // live in base/vec_kernels_impl.h, compiled once per tier with per-file
 // ISA flags.
 

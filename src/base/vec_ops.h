@@ -10,8 +10,8 @@ namespace vec {
 // core/grad_matrix.cc, the gradient-surgery loops in src/core, and the
 // optimizer update loops). Each function processes [0, n) in 8-lane blocks
 // with a scalar tail that performs the identical per-element arithmetic,
-// so the result is bit-identical across kernel tiers and across the
-// MOCOGRAD_SIMD / MOCOGRAD_SIMD_ISA knobs. Since the runtime ISA dispatch
+// so the result is bit-identical across kernel tiers, whatever the
+// MOCOGRAD_SIMD_ISA ceiling. Since the runtime ISA dispatch
 // (docs/SIMD.md) these are thin front-ends over the per-tier function
 // table in base/vec_kernels.h; the bodies live in base/vec_kernels_impl.h,
 // compiled once per tier. None of these parallelize internally — callers

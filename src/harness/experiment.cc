@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "autograd/executor.h"
 #include "base/env.h"
 #include "eval/metrics.h"
 #include "obs/metrics.h"
@@ -105,34 +104,6 @@ TaskMetrics EvaluateTask(TaskKind kind, const Tensor& pred,
   return out;
 }
 
-// Applies TrainConfig::autograd_executor for the lifetime of one run and
-// restores the previous process-wide setting afterwards (the setting is
-// global, so a scoped override keeps concurrent configs from leaking into
-// each other across sequential runs).
-class ScopedExecutorOverride {
- public:
-  explicit ScopedExecutorOverride(const std::string& name)
-      : previous_(autograd::CurrentBackwardExecutor()) {
-    if (name.empty()) return;
-    MG_CHECK(name == "seq" || name == "ready",
-             "TrainConfig::autograd_executor must be \"\", \"seq\" or "
-             "\"ready\", got: ", name);
-    active_ = true;
-    autograd::SetBackwardExecutor(name == "seq"
-                                      ? autograd::BackwardExecutor::kSequential
-                                      : autograd::BackwardExecutor::kReadyQueue);
-  }
-  ~ScopedExecutorOverride() {
-    if (active_) autograd::SetBackwardExecutor(previous_);
-  }
-  ScopedExecutorOverride(const ScopedExecutorOverride&) = delete;
-  ScopedExecutorOverride& operator=(const ScopedExecutorOverride&) = delete;
-
- private:
-  autograd::BackwardExecutor previous_;
-  bool active_ = false;
-};
-
 }  // namespace
 
 std::vector<int64_t> TaskOutputDims(const data::MtlDataset& dataset,
@@ -176,7 +147,6 @@ RunResult TrainAndEvaluate(const data::MtlDataset& dataset,
                            const ModelFactory& factory,
                            const TrainConfig& config) {
   MG_CHECK(!tasks.empty());
-  ScopedExecutorOverride executor_override(config.autograd_executor);
   Rng init_rng(config.seed);
   Rng data_rng(config.seed ^ 0x5bd1e995u);
 

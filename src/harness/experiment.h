@@ -47,13 +47,6 @@ struct TrainConfig {
   /// Telemetry sampling stride (0 = fall back to MOCOGRAD_TELEMETRY_EVERY,
   /// default 1). Watchdog events are written regardless of the stride.
   int telemetry_every = 0;
-  /// Backward-executor override for this run: "" keeps the process-wide
-  /// setting (MOCOGRAD_AUTOGRAD_EXEC / SetBackwardExecutor), "seq" forces
-  /// the linear tape replay, "ready" forces the ready-queue engine. The
-  /// previous setting is restored when the run finishes. Both executors are
-  /// bit-identical (docs/AUTOGRAD.md); this knob exists for A/B timing runs
-  /// like bench_backward.
-  std::string autograd_executor;
 };
 
 /// One named metric value.

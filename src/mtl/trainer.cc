@@ -90,13 +90,13 @@ StepStats MtlTrainer::Step(const std::vector<Batch>& batches) {
   // grad buffers — so the K sweeps launch concurrently on the pool, with
   // each task's flattened gradients written straight into its own GradMatrix
   // row (a merge that is deterministic by construction: row t belongs to
-  // task t). Under the default ready-queue executor the sweeps additionally
-  // overlap at tape-node granularity: every sweep feeds its ready nodes to
+  // task t). On the ready-queue engine the sweeps additionally overlap at
+  // tape-node granularity: every sweep feeds its ready nodes to
   // the shared pool, so workers drain whichever task currently has runnable
   // branches instead of being pinned one-per-task, and the GEMMs inside each
   // grad_fn still parallelize underneath (nested ParallelFor). Results are
-  // bit-identical to a serial ZeroGrad+Backward loop for any pool size and
-  // either executor — see docs/AUTOGRAD.md.
+  // bit-identical to a serial ZeroGrad+Backward loop for any pool size —
+  // see docs/AUTOGRAD.md.
   std::vector<Variable*> shared = model_->SharedParameters();
   int64_t shared_dim = 0;
   for (Variable* p : shared) shared_dim += p->NumElements();

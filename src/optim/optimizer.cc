@@ -11,7 +11,7 @@ namespace optim {
 // The per-tensor update spans (vec::SgdMomentum / SgdPlain / Adam /
 // Adagrad) live in base/vec_kernels_impl.h, compiled once per kernel tier
 // and routed through the runtime ISA dispatch; updates stay bit-identical
-// across tiers and the MOCOGRAD_SIMD / MOCOGRAD_SIMD_ISA knobs.
+// across tiers, whatever the MOCOGRAD_SIMD_ISA ceiling.
 
 Optimizer::Optimizer(std::vector<Variable*> params, float lr)
     : params_(std::move(params)), lr_(lr) {

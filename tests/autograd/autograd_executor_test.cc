@@ -1,7 +1,7 @@
-// The backward-executor contract (autograd/executor.h, docs/AUTOGRAD.md):
+// The backward-engine contract (autograd/executor.h, docs/AUTOGRAD.md):
 // the ready-queue engine must be *bit-identical* to the sequential tape
-// replay on every graph shape — diamonds, wide fan-in, aliasing grad_fns —
-// for any pool size, because its fixed per-edge accumulation slots replay
+// replay oracle on every graph shape — diamonds, wide fan-in, aliasing
+// grad_fns — for any pool size, because its fixed per-edge accumulation slots replay
 // the sequential engine's accumulation order exactly.
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 namespace mocograd {
 namespace {
 
-using autograd::BackwardExecutor;
 using autograd::Variable;
 namespace ag = autograd;
 
@@ -31,31 +30,27 @@ bool BitIdentical(const Tensor& a, const Tensor& b) {
                      a.NumElements() * sizeof(float)) == 0;
 }
 
-// Restores the process-wide executor and pool size after each test so the
-// fixture order cannot leak into other tests in this binary.
+// Restores the pool size after each test so the fixture order cannot leak
+// into other tests in this binary.
 class AutogradExecutorTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    previous_ = autograd::CurrentBackwardExecutor();
-  }
-  void TearDown() override {
-    autograd::SetBackwardExecutor(previous_);
-    ThreadPool::SetGlobalNumThreads(1);
-  }
-
- private:
-  BackwardExecutor previous_ = BackwardExecutor::kReadyQueue;
+  void TearDown() override { ThreadPool::SetGlobalNumThreads(1); }
 };
 
-// Runs `build` to make a fresh graph, backwards it on `exec`, and returns
-// the leaf gradients in the order `build` reported the leaves.
+// Runs `build` to make a fresh graph, backwards it on the sequential oracle
+// or (through Backward) the ready-queue engine, and returns the leaf
+// gradients in the order `build` reported the leaves.
 std::vector<Tensor> GradsOn(
-    BackwardExecutor exec,
+    bool oracle,
     const std::function<Variable(std::vector<Variable>*)>& build) {
-  autograd::SetBackwardExecutor(exec);
   std::vector<Variable> leaves;
   Variable root = build(&leaves);
-  root.Backward();
+  if (oracle) {
+    autograd::RunBackwardSequentialForTesting(
+        root.node().get(), Tensor::Ones(root.shape()), /*sink=*/nullptr);
+  } else {
+    root.Backward();
+  }
   std::vector<Tensor> grads;
   for (Variable& leaf : leaves) {
     EXPECT_TRUE(leaf.has_grad());
@@ -68,26 +63,14 @@ void ExpectSeqReadyIdentical(
     const std::function<Variable(std::vector<Variable>*)>& build) {
   for (int threads : {1, 2, 8}) {
     ThreadPool::SetGlobalNumThreads(threads);
-    std::vector<Tensor> seq = GradsOn(BackwardExecutor::kSequential, build);
-    std::vector<Tensor> ready = GradsOn(BackwardExecutor::kReadyQueue, build);
+    std::vector<Tensor> seq = GradsOn(/*oracle=*/true, build);
+    std::vector<Tensor> ready = GradsOn(/*oracle=*/false, build);
     ASSERT_EQ(seq.size(), ready.size());
     for (size_t i = 0; i < seq.size(); ++i) {
       EXPECT_TRUE(BitIdentical(seq[i], ready[i]))
           << "leaf " << i << " differs at " << threads << " threads";
     }
   }
-}
-
-TEST_F(AutogradExecutorTest, EnvDefaultIsReadyQueue) {
-  // The suite runs without MOCOGRAD_AUTOGRAD_EXEC set (or run_tests.sh sets
-  // it explicitly); either way CurrentBackwardExecutor returns a valid mode
-  // and SetBackwardExecutor round-trips.
-  autograd::SetBackwardExecutor(BackwardExecutor::kSequential);
-  EXPECT_EQ(autograd::CurrentBackwardExecutor(),
-            BackwardExecutor::kSequential);
-  autograd::SetBackwardExecutor(BackwardExecutor::kReadyQueue);
-  EXPECT_EQ(autograd::CurrentBackwardExecutor(),
-            BackwardExecutor::kReadyQueue);
 }
 
 TEST_F(AutogradExecutorTest, DiamondGraphBitIdentical) {
@@ -163,7 +146,6 @@ TEST_F(AutogradExecutorTest, MatMulChainMultipleLeavesBitIdentical) {
 }
 
 TEST_F(AutogradExecutorTest, BackwardIntoMatchesBackwardOnReadyQueue) {
-  autograd::SetBackwardExecutor(BackwardExecutor::kReadyQueue);
   ThreadPool::SetGlobalNumThreads(4);
   Rng rng(5);
   Variable w(Tensor::Randn({24, 12}, rng), /*requires_grad=*/true);
@@ -184,7 +166,6 @@ TEST_F(AutogradExecutorTest, BackwardIntoMatchesBackwardOnReadyQueue) {
 TEST_F(AutogradExecutorTest, SinkAccumulatesAcrossRootsOnReadyQueue) {
   // Two BackwardInto calls with the same sink must sum, exactly like two
   // Backward() calls sum into the persistent grad buffer.
-  autograd::SetBackwardExecutor(BackwardExecutor::kReadyQueue);
   ThreadPool::SetGlobalNumThreads(2);
   Variable x(Tensor::FromVector({2}, {1, 1}), /*requires_grad=*/true);
   Variable l1 = ag::SumAll(ag::MulScalar(x, 3.0f));
@@ -200,7 +181,6 @@ TEST_F(AutogradExecutorTest, SinkAccumulatesAcrossRootsOnReadyQueue) {
 }
 
 TEST_F(AutogradExecutorTest, NoGradLeafStaysUntouched) {
-  autograd::SetBackwardExecutor(BackwardExecutor::kReadyQueue);
   Variable x(Tensor::FromVector({1}, {2}), /*requires_grad=*/true);
   Variable c(Tensor::FromVector({1}, {5}), /*requires_grad=*/false);
   Variable y = ag::SumAll(ag::Mul(x, c));
@@ -216,7 +196,6 @@ TEST_F(AutogradExecutorTest, PoolResizeAfterSweepDoesNotDeadlock) {
   // mutex across the worker join. The executor now pins the pool per sweep.
   // The window is a few instructions wide, so hammer it: wide-fan-in sweeps
   // (which spawn helpers) immediately followed by a pool resize.
-  autograd::SetBackwardExecutor(BackwardExecutor::kReadyQueue);
   Rng rng(113);
   Tensor x0 = Tensor::Randn({64}, rng);
   for (int iter = 0; iter < 200; ++iter) {
@@ -233,7 +212,6 @@ TEST_F(AutogradExecutorTest, PoolResizeAfterSweepDoesNotDeadlock) {
 TEST_F(AutogradExecutorTest, GradFnErrorPropagatesFromWorkers) {
   // A grad_fn that throws must surface on the calling thread (and not hang
   // the sweep) even when pool workers are draining the queue.
-  autograd::SetBackwardExecutor(BackwardExecutor::kReadyQueue);
   ThreadPool::SetGlobalNumThreads(4);
   Rng rng(91);
   Variable x(Tensor::Randn({8}, rng), /*requires_grad=*/true);

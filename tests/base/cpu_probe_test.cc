@@ -97,19 +97,10 @@ TEST(CpuProbeTest, SetTierClampsToAvailable) {
   // Scalar is always grantable.
   simd::SetTier(simd::IsaTier::kScalar);
   EXPECT_EQ(simd::ActiveTier(), simd::IsaTier::kScalar);
-  EXPECT_FALSE(simd::Enabled());
   EXPECT_STREQ(simd::ActiveBackendName(), "scalar");
-  // SetEnabled(true) restores the env-ceilinged best tier; when the
-  // process started with SIMD enabled that is exactly the startup tier.
-  // (Under MOCOGRAD_SIMD=0 the startup tier is scalar instead, so only
-  // availability can be asserted.)
-  simd::SetEnabled(true);
-  EXPECT_NE(vec::VecKernelsForTier(simd::ActiveTier()), nullptr);
-  if (initial != simd::IsaTier::kScalar) {
-    EXPECT_EQ(simd::ActiveTier(), initial);
-  } else {
-    simd::SetEnabled(false);  // restore a scalar start state
-  }
+  // The startup tier was granted, so SetTier restores it exactly.
+  simd::SetTier(initial);
+  EXPECT_EQ(simd::ActiveTier(), initial);
 }
 
 TEST(CpuProbeTest, TierNamesAreStable) {

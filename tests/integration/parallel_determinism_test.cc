@@ -38,21 +38,54 @@ bool BitIdentical(const Tensor& a, const Tensor& b) {
 
 class ParallelDeterminismTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    previous_exec_ = autograd::CurrentBackwardExecutor();
-  }
-  // Leave a serial pool (and the entry executor) behind so other binaries'
-  // expectations about the default environment still hold if this process
-  // forks more work.
-  void TearDown() override {
-    autograd::SetBackwardExecutor(previous_exec_);
-    ThreadPool::SetGlobalNumThreads(1);
-  }
-
- private:
-  autograd::BackwardExecutor previous_exec_ =
-      autograd::BackwardExecutor::kReadyQueue;
+  // Leave a serial pool behind so other binaries' expectations about the
+  // default environment still hold if this process forks more work.
+  void TearDown() override { ThreadPool::SetGlobalNumThreads(1); }
 };
+
+// Runs each task's loss through the sequential oracle into its own sink,
+// serially on a 1-thread pool: the reference every ready-queue sweep below
+// must match bit for bit.
+std::vector<Variable::GradSink> OracleSinks(
+    const std::vector<Variable>& losses) {
+  ThreadPool::SetGlobalNumThreads(1);
+  std::vector<Variable::GradSink> sinks(losses.size());
+  for (size_t t = 0; t < losses.size(); ++t) {
+    autograd::RunBackwardSequentialForTesting(
+        losses[t].node().get(), Tensor::Ones(losses[t].shape()), &sinks[t]);
+  }
+  return sinks;
+}
+
+// Launches every task's BackwardInto concurrently on the pool, the way the
+// trainer's per-task backward does.
+std::vector<Variable::GradSink> ConcurrentSinks(
+    const std::vector<Variable>& losses) {
+  std::vector<Variable::GradSink> sinks(losses.size());
+  ParallelFor(0, static_cast<int64_t>(losses.size()), 1,
+              [&](int64_t t0, int64_t t1) {
+                for (int64_t t = t0; t < t1; ++t) {
+                  losses[t].BackwardInto(&sinks[t]);
+                }
+              });
+  return sinks;
+}
+
+// Every leaf in `leaves` has an entry in both sinks or in neither, and the
+// entries are memcmp-equal.
+void ExpectSinksIdentical(const Variable::GradSink& reference,
+                          const Variable::GradSink& got,
+                          const std::vector<const Variable*>& leaves) {
+  EXPECT_EQ(reference.size(), got.size());
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    auto ref_it = reference.find(leaves[i]->node().get());
+    auto got_it = got.find(leaves[i]->node().get());
+    ASSERT_EQ(ref_it == reference.end(), got_it == got.end()) << "leaf " << i;
+    if (ref_it == reference.end()) continue;
+    EXPECT_TRUE(BitIdentical(ref_it->second, got_it->second))
+        << "leaf " << i << " differs";
+  }
+}
 
 TEST_F(ParallelDeterminismTest, GemmBitIdenticalAcrossThreadCounts) {
   Rng rng(42);
@@ -172,18 +205,16 @@ TEST_F(ParallelDeterminismTest, BackwardIntoMatchesBackwardBitwise) {
 // End to end over every model whose forward builds the K per-task tapes
 // concurrently (HPS, MMoE, CGC, EmbeddingHps) and whose K backward sweeps run
 // concurrently: several optimization steps must leave bit-identical
-// parameters and losses for any pool size and either executor. Both input
-// settings are covered: distinct per-task batches, and one shared input —
-// through the trainer (one tensor per batch) and as the same Variable passed
-// K times straight to Forward. Runs in CI's pool-2/8 and TSan steps, so the
+// parameters and losses for any pool size. Both input settings are
+// covered: distinct per-task batches, and one shared input — through the
+// trainer (one tensor per batch) and as the same Variable passed K times
+// straight to Forward. Runs in CI's pool-2/8 and TSan steps, so the
 // concurrent tape build gets a race check.
 TEST_F(ParallelDeterminismTest, TrainerStepsBitIdenticalAcrossThreadCounts) {
   constexpr int kTasks = 3;
   // Everything one run produces, flattened for a bitwise comparison.
-  auto run = [](testing::MtlArch arch, bool distinct_inputs, int threads,
-                autograd::BackwardExecutor exec) {
+  auto run = [](testing::MtlArch arch, bool distinct_inputs, int threads) {
     ThreadPool::SetGlobalNumThreads(threads);
-    autograd::SetBackwardExecutor(exec);
     testing::MtlCase c =
         testing::MakeMtlCase(arch, /*seed=*/123, kTasks, distinct_inputs,
                              /*rows=*/64);
@@ -222,31 +253,63 @@ TEST_F(ParallelDeterminismTest, TrainerStepsBitIdenticalAcrossThreadCounts) {
     for (bool distinct : {true, false}) {
       SCOPED_TRACE(std::string(testing::MtlArchName(arch)) +
                    (distinct ? " distinct inputs" : " one shared input"));
-      const std::vector<Tensor> reference =
-          run(arch, distinct, 1, autograd::BackwardExecutor::kSequential);
-      for (autograd::BackwardExecutor exec :
-           {autograd::BackwardExecutor::kSequential,
-            autograd::BackwardExecutor::kReadyQueue}) {
-        for (int threads : kThreadCounts) {
-          const std::vector<Tensor> got = run(arch, distinct, threads, exec);
-          ASSERT_EQ(got.size(), reference.size());
-          for (size_t i = 0; i < got.size(); ++i) {
-            EXPECT_TRUE(BitIdentical(reference[i], got[i]))
-                << "tensor " << i << " differs at " << threads
-                << " threads, "
-                << (exec == autograd::BackwardExecutor::kReadyQueue ? "ready"
-                                                                    : "seq");
-          }
+      const std::vector<Tensor> reference = run(arch, distinct, 1);
+      for (int threads : {2, 8}) {
+        const std::vector<Tensor> got = run(arch, distinct, threads);
+        ASSERT_EQ(got.size(), reference.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_TRUE(BitIdentical(reference[i], got[i]))
+              << "tensor " << i << " differs at " << threads << " threads";
         }
       }
     }
   }
 }
 
-// The tentpole scenario for the ready-queue executor: K per-task sweeps over
-// one shared trunk launched concurrently, each feeding its ready nodes to the
-// same pool. For every pool size and either executor, each task's sink must
-// hold exactly the bits a serial 1-thread sequential sweep produces.
+// The ready-queue engine against its sequential oracle on real model tapes:
+// every task-separable architecture, with distinct per-task inputs and with
+// one shared input Variable fed to all K task forwards. Each task's
+// BackwardInto sink, from K sweeps launched concurrently at pools 1/2/8,
+// must hold per leaf exactly the bits the oracle's serial sweep leaves.
+TEST_F(ParallelDeterminismTest, ReadyQueueMatchesSequentialOracleOnModelTapes) {
+  constexpr int kTasks = 3;
+  for (testing::MtlArch arch : testing::TaskSeparableMtlArchs()) {
+    for (bool distinct : {true, false}) {
+      SCOPED_TRACE(std::string(testing::MtlArchName(arch)) +
+                   (distinct ? " distinct inputs" : " one shared input"));
+      testing::MtlCase c = testing::MakeMtlCase(arch, /*seed=*/321, kTasks,
+                                                distinct, /*rows=*/48);
+      std::vector<Variable> inputs;
+      for (int t = 0; t < kTasks; ++t) {
+        inputs.push_back(distinct || t == 0 ? Variable(c.batches[t].x, false)
+                                            : inputs[0]);
+      }
+      const std::vector<Variable> preds = c.model->Forward(inputs);
+      std::vector<Variable> losses;
+      for (int t = 0; t < kTasks; ++t) {
+        losses.push_back(mtl::TaskLoss(c.kinds[t], preds[t], c.batches[t]));
+      }
+      std::vector<const Variable*> leaves;
+      for (const Variable* p : c.model->Parameters()) leaves.push_back(p);
+
+      const std::vector<Variable::GradSink> reference = OracleSinks(losses);
+      for (int threads : kThreadCounts) {
+        ThreadPool::SetGlobalNumThreads(threads);
+        const std::vector<Variable::GradSink> sinks = ConcurrentSinks(losses);
+        for (int t = 0; t < kTasks; ++t) {
+          SCOPED_TRACE("task " + std::to_string(t) + " at " +
+                       std::to_string(threads) + " threads");
+          ExpectSinksIdentical(reference[t], sinks[t], leaves);
+        }
+      }
+    }
+  }
+}
+
+// The scenario the ready-queue engine exists for: K per-task sweeps over one
+// shared trunk launched concurrently, each feeding its ready nodes to the
+// same pool. For every pool size, each task's sink must hold exactly the
+// bits a serial 1-thread sweep of the sequential oracle produces.
 TEST_F(ParallelDeterminismTest, ConcurrentSharedTrunkSweepsBitIdentical) {
   constexpr int kTasks = 4;
   Rng rng(2024);
@@ -266,36 +329,14 @@ TEST_F(ParallelDeterminismTest, ConcurrentSharedTrunkSweepsBitIdentical) {
                                        targets[t]));
   }
 
-  // Reference: serial sequential sweeps at pool size 1.
-  autograd::SetBackwardExecutor(autograd::BackwardExecutor::kSequential);
-  ThreadPool::SetGlobalNumThreads(1);
-  std::vector<Variable::GradSink> reference(kTasks);
-  for (int t = 0; t < kTasks; ++t) losses[t].BackwardInto(&reference[t]);
-
-  for (autograd::BackwardExecutor exec :
-       {autograd::BackwardExecutor::kSequential,
-        autograd::BackwardExecutor::kReadyQueue}) {
-    autograd::SetBackwardExecutor(exec);
-    for (int threads : kThreadCounts) {
-      ThreadPool::SetGlobalNumThreads(threads);
-      std::vector<Variable::GradSink> sinks(kTasks);
-      ParallelFor(0, kTasks, 1, [&](int64_t t0, int64_t t1) {
-        for (int64_t t = t0; t < t1; ++t) {
-          losses[t].BackwardInto(&sinks[t]);
-        }
-      });
-      for (int t = 0; t < kTasks; ++t) {
-        for (const Variable* leaf : {&w_trunk, &heads[t]}) {
-          auto ref_it = reference[t].find(leaf->node().get());
-          auto got_it = sinks[t].find(leaf->node().get());
-          ASSERT_NE(ref_it, reference[t].end());
-          ASSERT_NE(got_it, sinks[t].end());
-          EXPECT_TRUE(BitIdentical(ref_it->second, got_it->second))
-              << "task " << t << " differs at " << threads << " threads, "
-              << (exec == autograd::BackwardExecutor::kReadyQueue ? "ready"
-                                                                  : "seq");
-        }
-      }
+  const std::vector<Variable::GradSink> reference = OracleSinks(losses);
+  for (int threads : kThreadCounts) {
+    ThreadPool::SetGlobalNumThreads(threads);
+    const std::vector<Variable::GradSink> sinks = ConcurrentSinks(losses);
+    for (int t = 0; t < kTasks; ++t) {
+      SCOPED_TRACE("task " + std::to_string(t) + " at " +
+                   std::to_string(threads) + " threads");
+      ExpectSinksIdentical(reference[t], sinks[t], {&w_trunk, &heads[t]});
     }
   }
 }

@@ -2,11 +2,11 @@
 // kernel tier — scalar, SSE, NEON, AVX2, AVX-512 — produces bit-identical
 // results, for every kernel, at every pool size. Combined with the
 // thread-determinism contract this means a training run's bits depend on
-// none of MOCOGRAD_SIMD, MOCOGRAD_SIMD_ISA, or MOCOGRAD_NUM_THREADS.
+// neither MOCOGRAD_SIMD_ISA nor MOCOGRAD_NUM_THREADS.
 //
-// On builds without a hardware backend (MOCOGRAD_ENABLE_SIMD=OFF or an ISA
-// without one) SetEnabled is a no-op, only the scalar tier exists, and the
-// comparisons trivially hold.
+// Every test sweeps each tier the host grants (on an ISA without a hardware
+// backend only the scalar tier exists, and the comparisons trivially hold)
+// crossed with pool sizes 1/2/8.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -37,14 +38,12 @@ using autograd::Variable;
 using data::Batch;
 using data::TaskKind;
 
-// (simd enabled, pool size) grid; the (true, 1) cell is the reference.
-const std::pair<bool, int> kConfigs[] = {
-    {true, 1}, {true, 2}, {true, 8}, {false, 1}, {false, 2}, {false, 8}};
-
 // Every tier this host can actually run (SetTier clamps unavailable
 // requests down, so requesting each tier and keeping the exact grants
-// enumerates the usable set — always at least {scalar}).
+// enumerates the usable set — always at least {scalar}). Leaves the active
+// tier as it found it.
 std::vector<simd::IsaTier> AvailableTiers() {
+  const simd::IsaTier start = simd::ActiveTier();
   std::vector<simd::IsaTier> tiers;
   for (simd::IsaTier t :
        {simd::IsaTier::kScalar, simd::IsaTier::kSse, simd::IsaTier::kNeon,
@@ -52,8 +51,29 @@ std::vector<simd::IsaTier> AvailableTiers() {
     simd::SetTier(t);
     if (simd::ActiveTier() == t) tiers.push_back(t);
   }
-  simd::SetEnabled(true);
+  simd::SetTier(start);
   return tiers;
+}
+
+// AvailableTiers() x pool sizes {1, 2, 8}; the first cell is the reference.
+std::vector<std::pair<simd::IsaTier, int>> Configs() {
+  std::vector<std::pair<simd::IsaTier, int>> configs;
+  for (simd::IsaTier tier : AvailableTiers()) {
+    for (int threads : {1, 2, 8}) configs.emplace_back(tier, threads);
+  }
+  return configs;
+}
+
+// "(tier=avx2, threads=8)", for failure messages.
+std::string CellName(simd::IsaTier tier, int threads) {
+  return std::string("(tier=") + simd::TierName(tier) +
+         ", threads=" + std::to_string(threads) + ")";
+}
+
+// Activates one grid cell.
+void Apply(simd::IsaTier tier, int threads) {
+  simd::SetTier(tier);
+  ThreadPool::SetGlobalNumThreads(threads);
 }
 
 bool BitIdentical(const Tensor& a, const Tensor& b) {
@@ -69,10 +89,14 @@ bool BitIdentical(const std::vector<float>& a, const std::vector<float>& b) {
 
 class SimdDeterminismTest : public ::testing::Test {
  protected:
+  void SetUp() override { start_tier_ = simd::ActiveTier(); }
   void TearDown() override {
     ThreadPool::SetGlobalNumThreads(1);
-    simd::SetEnabled(true);  // no-op on scalar-only builds
+    simd::SetTier(start_tier_);
   }
+
+ private:
+  simd::IsaTier start_tier_ = simd::IsaTier::kScalar;
 };
 
 TEST_F(SimdDeterminismTest, GemmBitIdenticalAcrossBackendsAndPools) {
@@ -85,9 +109,8 @@ TEST_F(SimdDeterminismTest, GemmBitIdenticalAcrossBackendsAndPools) {
   Tensor bt = tops::Transpose2D(b);
 
   Tensor ref_plain, ref_trans;
-  for (const auto& [enabled, threads] : kConfigs) {
-    simd::SetEnabled(enabled);
-    ThreadPool::SetGlobalNumThreads(threads);
+  for (const auto& [tier, threads] : Configs()) {
+    Apply(tier, threads);
     Tensor c = c0.Clone();
     Gemm(false, false, m, n, k, 1.3f, a.data(), k, b.data(), n, 0.7f,
          c.data(), n);
@@ -99,11 +122,9 @@ TEST_F(SimdDeterminismTest, GemmBitIdenticalAcrossBackendsAndPools) {
       ref_trans = ct;
     } else {
       EXPECT_TRUE(BitIdentical(ref_plain, c))
-          << "Gemm differs (simd=" << enabled << ", threads=" << threads
-          << ")";
+          << "Gemm differs " << CellName(tier, threads);
       EXPECT_TRUE(BitIdentical(ref_trans, ct))
-          << "transposed Gemm differs (simd=" << enabled
-          << ", threads=" << threads << ")";
+          << "transposed Gemm differs " << CellName(tier, threads);
     }
   }
 }
@@ -143,9 +164,8 @@ TEST_F(SimdDeterminismTest, TensorKernelsBitIdenticalAcrossBackendsAndPools) {
   bool have_ref = false;
   float sum0 = 0, norm0 = 0, dot0 = 0;
   Tensor add0, mul0, relu0, clamp0, max0, axpy0;
-  for (const auto& [enabled, threads] : kConfigs) {
-    simd::SetEnabled(enabled);
-    ThreadPool::SetGlobalNumThreads(threads);
+  for (const auto& [tier, threads] : Configs()) {
+    Apply(tier, threads);
     const float sum = tops::SumAll(a);
     const float norm = tops::Norm(a);
     const float dot = tops::Dot(a, b);
@@ -190,17 +210,13 @@ TEST_F(SimdDeterminismTest, TensorKernelsBitIdenticalAcrossBackendsAndPools) {
       EXPECT_TRUE(BitIdentical(add0, add));
       EXPECT_TRUE(BitIdentical(mul0, mul));
       EXPECT_TRUE(BitIdentical(relu0, relu))
-          << "Relu differs (simd=" << enabled << ", threads=" << threads
-          << ")";
+          << "Relu differs " << CellName(tier, threads);
       EXPECT_TRUE(BitIdentical(clamp0, clamp))
-          << "Clamp differs (simd=" << enabled << ", threads=" << threads
-          << ")";
+          << "Clamp differs " << CellName(tier, threads);
       EXPECT_TRUE(BitIdentical(max0, max))
-          << "Maximum differs (simd=" << enabled << ", threads=" << threads
-          << ")";
+          << "Maximum differs " << CellName(tier, threads);
       EXPECT_TRUE(BitIdentical(axpy0, axpy))
-          << "Axpy differs (simd=" << enabled << ", threads=" << threads
-          << ")";
+          << "Axpy differs " << CellName(tier, threads);
     }
   }
 }
@@ -219,9 +235,8 @@ TEST_F(SimdDeterminismTest, GradMatrixOpsBitIdenticalAcrossBackendsAndPools) {
   bool have_ref = false;
   double dot0 = 0;
   std::vector<float> sum0, wsum0;
-  for (const auto& [enabled, threads] : kConfigs) {
-    simd::SetEnabled(enabled);
-    ThreadPool::SetGlobalNumThreads(threads);
+  for (const auto& [tier, threads] : Configs()) {
+    Apply(tier, threads);
     const double dot = grads.RowDot(0, 1);
     std::vector<float> sum = grads.SumRows();
     std::vector<float> wsum = grads.WeightedSumRows(w);
@@ -239,9 +254,8 @@ TEST_F(SimdDeterminismTest, GradMatrixOpsBitIdenticalAcrossBackendsAndPools) {
 }
 
 TEST_F(SimdDeterminismTest, OptimizerStepsBitIdenticalAcrossBackendsAndPools) {
-  auto run = [](bool enabled, int threads) {
-    simd::SetEnabled(enabled);
-    ThreadPool::SetGlobalNumThreads(threads);
+  auto run = [](simd::IsaTier tier, int threads) {
+    Apply(tier, threads);
     Rng rng(99);
     Variable w(Tensor::Randn({37, 21}, rng), /*requires_grad=*/true);
     Tensor g = Tensor::Randn({37, 21}, rng);
@@ -252,10 +266,11 @@ TEST_F(SimdDeterminismTest, OptimizerStepsBitIdenticalAcrossBackendsAndPools) {
     }
     return w.value().Clone();
   };
-  Tensor ref = run(true, 1);
-  for (const auto& [enabled, threads] : kConfigs) {
-    EXPECT_TRUE(BitIdentical(ref, run(enabled, threads)))
-        << "Adam differs (simd=" << enabled << ", threads=" << threads << ")";
+  const std::vector<std::pair<simd::IsaTier, int>> configs = Configs();
+  Tensor ref = run(configs[0].first, configs[0].second);
+  for (const auto& [tier, threads] : configs) {
+    EXPECT_TRUE(BitIdentical(ref, run(tier, threads)))
+        << "Adam differs " << CellName(tier, threads);
   }
 }
 
@@ -263,9 +278,8 @@ TEST_F(SimdDeterminismTest, OptimizerStepsBitIdenticalAcrossBackendsAndPools) {
 // aggregation (dots, axpys, EMA), Adam — leaves bit-identical parameters
 // whatever the backend and pool size.
 TEST_F(SimdDeterminismTest, TrainerStepsBitIdenticalAcrossBackendsAndPools) {
-  auto run = [](bool enabled, int threads) {
-    simd::SetEnabled(enabled);
-    ThreadPool::SetGlobalNumThreads(threads);
+  auto run = [](simd::IsaTier tier, int threads) {
+    Apply(tier, threads);
     Rng rng(123);
     mtl::HpsConfig cfg;
     cfg.input_dim = 48;
@@ -298,28 +312,27 @@ TEST_F(SimdDeterminismTest, TrainerStepsBitIdenticalAcrossBackendsAndPools) {
     return std::make_pair(params, losses);
   };
 
-  auto [params0, losses0] = run(true, 1);
-  for (const auto& [enabled, threads] : kConfigs) {
-    auto [params, losses] = run(enabled, threads);
+  const std::vector<std::pair<simd::IsaTier, int>> configs = Configs();
+  auto [params0, losses0] = run(configs[0].first, configs[0].second);
+  for (const auto& [tier, threads] : configs) {
+    auto [params, losses] = run(tier, threads);
     ASSERT_EQ(params.size(), params0.size());
     for (size_t i = 0; i < params.size(); ++i) {
       EXPECT_TRUE(BitIdentical(params0[i], params[i]))
-          << "parameter " << i << " differs (simd=" << enabled
-          << ", threads=" << threads << ")";
+          << "parameter " << i << " differs " << CellName(tier, threads);
     }
     ASSERT_EQ(losses.size(), losses0.size());
     EXPECT_TRUE(BitIdentical(losses0, losses))
-        << "losses differ (simd=" << enabled << ", threads=" << threads
-        << ")";
+        << "losses differ " << CellName(tier, threads);
   }
 }
 
-// The per-tier battery: every tier the host can run — not just the
-// enabled/disabled pair above — produces bit-identical GEMM (all shape
-// paths), bf16 GEMM, elementwise, reduction, and optimizer results at
-// several pool sizes. This is the cross-tier half of the runtime-dispatch
-// contract; run_tests.sh additionally re-runs whole suites under
-// MOCOGRAD_SIMD_ISA=scalar / sse to pin the startup-selection half.
+// The per-tier battery: every tier the host can run produces bit-identical
+// GEMM (all shape paths), bf16 GEMM, elementwise, reduction, broadcast,
+// Gram and optimizer results at pool sizes 1/2/8. This is the cross-tier
+// half of the runtime-dispatch contract; run_tests.sh additionally re-runs
+// whole suites under MOCOGRAD_SIMD_ISA=scalar / sse to pin the
+// startup-selection half.
 TEST_F(SimdDeterminismTest, AllTiersBitIdentical) {
   Rng rng(314);
   const int64_t m = 37, n = 51, k = 129;  // streaming path, ragged panels
@@ -345,94 +358,78 @@ TEST_F(SimdDeterminismTest, AllTiersBitIdentical) {
     for (int64_t p = 0; p < grads.dim(); ++p) grads.Row(t)[p] = rng.Normal();
   }
 
-  const std::vector<simd::IsaTier> tiers = AvailableTiers();
-  ASSERT_FALSE(tiers.empty());
 
   Tensor ref_c, ref_blk, ref_relu, ref_opt, ref_bc_add, ref_bc_mul;
   std::vector<float> ref_bf16, ref_bf16_row;
   std::vector<std::vector<double>> ref_gram;
   float ref_sum = 0.0f;
   bool have_ref = false;
-  for (simd::IsaTier tier : tiers) {
-    for (int threads : {1, 4}) {
-      simd::SetTier(tier);
-      ASSERT_EQ(simd::ActiveTier(), tier);
-      ThreadPool::SetGlobalNumThreads(threads);
+  for (const auto& [tier, threads] : Configs()) {
+    Apply(tier, threads);
+    ASSERT_EQ(simd::ActiveTier(), tier);
 
-      Tensor c = c0.Clone();
-      Gemm(false, false, m, n, k, 1.3f, a.data(), k, b.data(), n, 0.7f,
-           c.data(), n);
-      Tensor blk = Tensor::Zeros({bm, bn});
-      Gemm(false, false, bm, bn, k, 1.0f, ba.data(), k, bb.data(), bn, 0.0f,
-           blk.data(), bn);
-      std::vector<float> cbf(static_cast<size_t>(m) * n);
-      GemmBf16B(m, n, k, a.data(), k, b16.data(), n, cbf.data(), n);
-      std::vector<float> cbf_row(static_cast<size_t>(n));
-      GemmBf16B(1, n, k, a.data(), k, b16.data(), n, cbf_row.data(), n);
-      Tensor relu = tops::Relu(ew);
-      const float sum = tops::SumAll(ew);
-      Tensor bc_add = tops::Add(bc, bc_row);
-      Tensor bc_mul = tops::Mul(bc, bc_col);
-      Rng wrng(5), grng(6);
-      Variable w(Tensor::Randn({13, 7}, wrng), /*requires_grad=*/true);
-      optim::Adam opt({&w}, 1e-2f);
-      w.mutable_grad().CopyFrom(Tensor::Randn({13, 7}, grng));
-      opt.Step();
-      const std::vector<std::vector<double>> gram = grads.Gram();
+    Tensor c = c0.Clone();
+    Gemm(false, false, m, n, k, 1.3f, a.data(), k, b.data(), n, 0.7f,
+         c.data(), n);
+    Tensor blk = Tensor::Zeros({bm, bn});
+    Gemm(false, false, bm, bn, k, 1.0f, ba.data(), k, bb.data(), bn, 0.0f,
+         blk.data(), bn);
+    std::vector<float> cbf(static_cast<size_t>(m) * n);
+    GemmBf16B(m, n, k, a.data(), k, b16.data(), n, cbf.data(), n);
+    std::vector<float> cbf_row(static_cast<size_t>(n));
+    GemmBf16B(1, n, k, a.data(), k, b16.data(), n, cbf_row.data(), n);
+    Tensor relu = tops::Relu(ew);
+    const float sum = tops::SumAll(ew);
+    Tensor bc_add = tops::Add(bc, bc_row);
+    Tensor bc_mul = tops::Mul(bc, bc_col);
+    Rng wrng(5), grng(6);
+    Variable w(Tensor::Randn({13, 7}, wrng), /*requires_grad=*/true);
+    optim::Adam opt({&w}, 1e-2f);
+    w.mutable_grad().CopyFrom(Tensor::Randn({13, 7}, grng));
+    opt.Step();
+    const std::vector<std::vector<double>> gram = grads.Gram();
 
-      if (!have_ref) {
-        have_ref = true;
-        ref_c = c;
-        ref_blk = blk;
-        ref_bf16 = cbf;
-        ref_bf16_row = cbf_row;
-        ref_relu = relu;
-        ref_sum = sum;
-        ref_bc_add = bc_add;
-        ref_bc_mul = bc_mul;
-        ref_opt = w.value().Clone();
-        ref_gram = gram;
-        // The bf16 batched rows and the m == 1 row agree per element
-        // (batch-invariant serving).
-        for (int64_t j = 0; j < n; ++j) {
-          ASSERT_EQ(cbf[static_cast<size_t>(j)], cbf_row[j]) << j;
-        }
-      } else {
-        const char* name = simd::TierName(tier);
-        EXPECT_TRUE(BitIdentical(ref_c, c))
-            << "Gemm differs (tier=" << name << ", threads=" << threads
-            << ")";
-        EXPECT_TRUE(BitIdentical(ref_blk, blk))
-            << "blocked Gemm differs (tier=" << name
-            << ", threads=" << threads << ")";
-        EXPECT_TRUE(BitIdentical(ref_bf16, cbf))
-            << "GemmBf16B differs (tier=" << name << ", threads=" << threads
-            << ")";
-        EXPECT_TRUE(BitIdentical(ref_bf16_row, cbf_row))
-            << "GemmBf16B m=1 differs (tier=" << name
-            << ", threads=" << threads << ")";
-        EXPECT_TRUE(BitIdentical(ref_relu, relu))
-            << "Relu differs (tier=" << name << ", threads=" << threads
-            << ")";
-        EXPECT_EQ(std::memcmp(&sum, &ref_sum, sizeof(float)), 0)
-            << "SumAll differs (tier=" << name << ", threads=" << threads
-            << ")";
-        EXPECT_TRUE(BitIdentical(ref_bc_add, bc_add))
-            << "row-broadcast Add differs (tier=" << name
-            << ", threads=" << threads << ")";
-        EXPECT_TRUE(BitIdentical(ref_bc_mul, bc_mul))
-            << "column-broadcast Mul differs (tier=" << name
-            << ", threads=" << threads << ")";
-        EXPECT_TRUE(BitIdentical(ref_opt, w.value()))
-            << "Adam differs (tier=" << name << ", threads=" << threads
-            << ")";
-        for (size_t i = 0; i < gram.size(); ++i) {
-          EXPECT_EQ(std::memcmp(gram[i].data(), ref_gram[i].data(),
-                                gram[i].size() * sizeof(double)),
-                    0)
-              << "GramF64 row " << i << " differs (tier=" << name
-              << ", threads=" << threads << ")";
-        }
+    if (!have_ref) {
+      have_ref = true;
+      ref_c = c;
+      ref_blk = blk;
+      ref_bf16 = cbf;
+      ref_bf16_row = cbf_row;
+      ref_relu = relu;
+      ref_sum = sum;
+      ref_bc_add = bc_add;
+      ref_bc_mul = bc_mul;
+      ref_opt = w.value().Clone();
+      ref_gram = gram;
+      // The bf16 batched rows and the m == 1 row agree per element
+      // (batch-invariant serving).
+      for (int64_t j = 0; j < n; ++j) {
+        ASSERT_EQ(cbf[static_cast<size_t>(j)], cbf_row[j]) << j;
+      }
+    } else {
+      EXPECT_TRUE(BitIdentical(ref_c, c))
+          << "Gemm differs " << CellName(tier, threads);
+      EXPECT_TRUE(BitIdentical(ref_blk, blk))
+          << "blocked Gemm differs " << CellName(tier, threads);
+      EXPECT_TRUE(BitIdentical(ref_bf16, cbf))
+          << "GemmBf16B differs " << CellName(tier, threads);
+      EXPECT_TRUE(BitIdentical(ref_bf16_row, cbf_row))
+          << "GemmBf16B m=1 differs " << CellName(tier, threads);
+      EXPECT_TRUE(BitIdentical(ref_relu, relu))
+          << "Relu differs " << CellName(tier, threads);
+      EXPECT_EQ(std::memcmp(&sum, &ref_sum, sizeof(float)), 0)
+          << "SumAll differs " << CellName(tier, threads);
+      EXPECT_TRUE(BitIdentical(ref_bc_add, bc_add))
+          << "row-broadcast Add differs " << CellName(tier, threads);
+      EXPECT_TRUE(BitIdentical(ref_bc_mul, bc_mul))
+          << "column-broadcast Mul differs " << CellName(tier, threads);
+      EXPECT_TRUE(BitIdentical(ref_opt, w.value()))
+          << "Adam differs " << CellName(tier, threads);
+      for (size_t i = 0; i < gram.size(); ++i) {
+        EXPECT_EQ(std::memcmp(gram[i].data(), ref_gram[i].data(),
+                              gram[i].size() * sizeof(double)),
+                  0)
+            << "GramF64 row " << i << " differs " << CellName(tier, threads);
       }
     }
   }

@@ -2,7 +2,7 @@
 // and the watchdog are observation-only. Training with the full telemetry
 // stack attached (sink sampling every step + watchdog armed) must leave
 // bit-identical parameters to training with all of it off — for any pool
-// size and either backward executor (ISSUE 7 acceptance criterion).
+// size.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "autograd/executor.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
 #include "core/registry.h"
@@ -29,25 +28,13 @@ using data::TaskKind;
 
 class TelemetryDeterminismTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    previous_exec_ = autograd::CurrentBackwardExecutor();
-  }
-  void TearDown() override {
-    autograd::SetBackwardExecutor(previous_exec_);
-    ThreadPool::SetGlobalNumThreads(1);
-  }
-
- private:
-  autograd::BackwardExecutor previous_exec_ =
-      autograd::BackwardExecutor::kReadyQueue;
+  void TearDown() override { ThreadPool::SetGlobalNumThreads(1); }
 };
 
 // Trains a small 3-task model and returns every parameter's bytes.
 std::vector<float> Train(const std::string& method, int threads,
-                         autograd::BackwardExecutor exec,
                          bool telemetry_on, const std::string& path) {
   ThreadPool::SetGlobalNumThreads(threads);
-  autograd::SetBackwardExecutor(exec);
 
   Rng rng(321);
   mtl::HpsConfig cfg;
@@ -94,31 +81,23 @@ std::vector<float> Train(const std::string& method, int threads,
 }
 
 TEST_F(TelemetryDeterminismTest,
-       TelemetryAndWatchdogAreBitwiseInvisibleAcrossPoolsAndExecutors) {
+       TelemetryAndWatchdogAreBitwiseInvisibleAcrossPools) {
   const std::string path =
       ::testing::TempDir() + "/telemetry_determinism.jsonl";
   for (const char* method : {"mocograd", "pcgrad"}) {
     std::remove(path.c_str());
     const std::vector<float> baseline =
-        Train(method, 1, autograd::BackwardExecutor::kSequential,
-              /*telemetry_on=*/false, path);
+        Train(method, 1, /*telemetry_on=*/false, path);
     for (int threads : {1, 8}) {
-      for (autograd::BackwardExecutor exec :
-           {autograd::BackwardExecutor::kSequential,
-            autograd::BackwardExecutor::kReadyQueue}) {
-        for (bool telemetry_on : {false, true}) {
-          const std::vector<float> got =
-              Train(method, threads, exec, telemetry_on, path);
-          ASSERT_EQ(got.size(), baseline.size());
-          EXPECT_EQ(std::memcmp(got.data(), baseline.data(),
-                                got.size() * sizeof(float)),
-                    0)
-              << method << " differs at threads=" << threads
-              << " exec=" << (exec == autograd::BackwardExecutor::kSequential
-                                  ? "seq"
-                                  : "ready")
-              << " telemetry=" << telemetry_on;
-        }
+      for (bool telemetry_on : {false, true}) {
+        const std::vector<float> got =
+            Train(method, threads, telemetry_on, path);
+        ASSERT_EQ(got.size(), baseline.size());
+        EXPECT_EQ(std::memcmp(got.data(), baseline.data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << method << " differs at threads=" << threads
+            << " telemetry=" << telemetry_on;
       }
     }
     std::remove(path.c_str());

@@ -740,14 +740,37 @@ TEST_F(MgAnalyzeTest, ParsedKnobInDocsTablePasses) {
 
 TEST_F(MgAnalyzeTest, CMakeOptionInDocsTablePasses) {
   WriteFile(root_ / "CMakeLists.txt",
-            "option(MOCOGRAD_BUILD_EXTRAS \"build the extras\" OFF)\n");
+            "option(MOCOGRAD_BUILD_EXTRAS \"build the extras\" OFF)\n"
+            "set(MOCOGRAD_BUILD_MODE \"fast\" CACHE STRING\n"
+            "  \"build mode (fast or small)\")\n");
   WriteFile(root_ / "docs" / "BUILD.md",
             "| Option | Meaning |\n"
             "| --- | --- |\n"
             "| `MOCOGRAD_BUILD_EXTRAS=ON` | a CMake option, not an env "
-            "knob |\n");
+            "knob |\n"
+            "| `-DMOCOGRAD_BUILD_MODE=small` | a cache variable |\n");
   const AnalyzeResult r = RunAnalyze(root_);
   EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
+TEST_F(MgAnalyzeTest, PlainSetDoesNotDocumentABuildOption) {
+  // A plain set() only names a local variable (e.g. a sub-build pinning a
+  // removed option); it must not keep a docs table row about that option
+  // alive. Mentions in comments and messages do not count either.
+  WriteFile(root_ / "CMakeLists.txt",
+            "set(MOCOGRAD_OLD_OPTION ON)\n"
+            "# option(MOCOGRAD_OLD_OPTION \"gone\" ON)\n"
+            "message(STATUS \"option(MOCOGRAD_OLD_OPTION x ON)\")\n");
+  WriteFile(root_ / "docs" / "BUILD.md",
+            "| Option | Meaning |\n"
+            "| --- | --- |\n"
+            "| `-DMOCOGRAD_OLD_OPTION=OFF` | a removed option |\n");
+  const AnalyzeResult r = RunAnalyze(root_);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("BUILD.md:3: [doc-knob-drift]"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("MOCOGRAD_OLD_OPTION"), std::string::npos)
+      << r.output;
 }
 
 TEST_F(MgAnalyzeTest, KnobInDocsProseIsNotChecked) {

@@ -1,12 +1,13 @@
 #!/usr/bin/env sh
 # Validates cross-references in the repository's markdown documentation:
 #
-#   1. every relative markdown link target `[text](path)` in README.md and
-#      docs/*.md resolves to an existing file (external http(s) links and
-#      pure #anchors are skipped);
+#   1. every relative markdown link target `[text](path)` in README.md,
+#      EXPERIMENTS.md and docs/*.md resolves to an existing file (external
+#      http(s) links and pure #anchors are skipped);
 #   2. every file or directory path named in backticks that looks like a
 #      repo path (src/..., docs/..., tests/..., tools/..., bench/...,
-#      examples/..., or a top-level *.md) actually exists.
+#      bench_mtl/..., examples/..., or a top-level *.md, *.json or *.txt)
+#      actually exists.
 #
 # Exits non-zero listing every broken reference. Wired into the build as
 # the `check_docs` target (cmake --build build --target check_docs).
@@ -15,7 +16,7 @@ set -u
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 status=0
 
-docs_files="$repo_root/README.md"
+docs_files="$repo_root/README.md $repo_root/EXPERIMENTS.md"
 for f in "$repo_root"/docs/*.md; do
   [ -e "$f" ] && docs_files="$docs_files $f"
 done
@@ -38,7 +39,7 @@ for f in $docs_files; do
   # 2. Backticked repo paths.
   paths=$(grep -o '`[A-Za-z0-9_./-]*`' "$f" 2>/dev/null \
     | sed 's/^`//; s/`$//' \
-    | grep -E '^(src|docs|tests|tools|bench|examples)/[A-Za-z0-9_./-]+$|^[A-Za-z0-9_-]+\.md$' \
+    | grep -E '^(src|docs|tests|tools|bench|bench_mtl|examples)/[A-Za-z0-9_./-]+$|^[A-Za-z0-9_-]+\.(md|json|txt)$' \
     | grep -v '\.\.' | sort -u || true)
   for p in $paths; do
     # Paths under build output or with shell globs are not checkable.

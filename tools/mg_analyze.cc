@@ -58,8 +58,9 @@
 //                      must be documented in README.md's knob table.
 //   doc-knob-drift     every MOCOGRAD_* name in a docs/*.md table row must
 //                      be parsed somewhere in src/ or bench/, or be a build
-//                      option defined in a CMakeLists.txt — docs must not
-//                      describe knobs the code no longer reads.
+//                      option a CMakeLists.txt declares with option() or
+//                      set(... CACHE ...) — docs must not describe knobs
+//                      the code no longer reads.
 //
 // Call-graph approximation (known limits, see docs/CORRECTNESS.md): calls
 // link by bare name; a call resolves to same-file definitions first, then
@@ -687,12 +688,14 @@ void ExtractKnobs(const std::string& raw_line, const std::string& rel_path,
   }
 }
 
-// All MOCOGRAD_* identifiers in `text` (for docs tables and CMake options).
+// All MOCOGRAD_* identifiers in `text` (a docs table row), including the
+// -DMOCOGRAD_* spelling of a build option.
 std::set<std::string> ExtractKnobNames(const std::string& text) {
   std::set<std::string> names;
   size_t pos = 0;
   while ((pos = text.find("MOCOGRAD_", pos)) != std::string::npos) {
-    if (pos > 0 && IsIdentChar(text[pos - 1])) {
+    const bool define_flag = pos >= 2 && text.compare(pos - 2, 2, "-D") == 0;
+    if (pos > 0 && IsIdentChar(text[pos - 1]) && !define_flag) {
       pos += 1;
       continue;
     }
@@ -705,6 +708,51 @@ std::set<std::string> ExtractKnobNames(const std::string& text) {
     }
     if (end > pos + 9) names.insert(text.substr(pos, end - pos));
     pos = end;
+  }
+  return names;
+}
+
+// MOCOGRAD_* build options a CMakeLists.txt declares: option(NAME ...) or
+// set(NAME ... CACHE ...). A plain set() is a local variable, not an option
+// a user can pass with -D, so it does not make a docs table row valid.
+std::set<std::string> ExtractCMakeOptionNames(const std::string& text) {
+  // Tokenize with comments and quoted strings blanked out (neither can
+  // declare anything) and each parenthesis a token of its own.
+  std::string code;
+  bool quoted = false;
+  bool comment = false;
+  for (const char c : text) {
+    if (comment) {
+      comment = c != '\n';
+    } else if (c == '"') {
+      quoted = !quoted;
+    } else if (!quoted && c == '#') {
+      comment = true;
+    } else if (!quoted) {
+      code += c == '(' || c == ')' ? std::string{' ', c, ' '}
+                                   : std::string(1, c);
+      continue;
+    }
+    code += ' ';
+  }
+  std::istringstream in(code);
+  std::vector<std::string> toks;
+  for (std::string tok; in >> tok;) toks.push_back(tok);
+
+  std::set<std::string> names;
+  for (size_t i = 0; i + 2 < toks.size(); ++i) {
+    std::string command = toks[i];
+    std::transform(command.begin(), command.end(), command.begin(),
+                   [](unsigned char c) { return std::tolower(c); });
+    if ((command != "option" && command != "set") || toks[i + 1] != "(" ||
+        toks[i + 2].rfind("MOCOGRAD_", 0) != 0) {
+      continue;
+    }
+    bool cache = false;
+    for (size_t j = i + 3; j < toks.size() && toks[j] != ")"; ++j) {
+      cache = cache || toks[j] == "CACHE";
+    }
+    if (command == "option" || cache) names.insert(toks[i + 2]);
   }
   return names;
 }
@@ -1558,7 +1606,7 @@ int main(int argc, char** argv) {
     bool ok = false;
     const std::string content = ReadFileText(entry.path(), &ok);
     if (!ok) continue;
-    for (const std::string& n : ExtractKnobNames(content)) {
+    for (const std::string& n : ExtractCMakeOptionNames(content)) {
       cmake_names.insert(n);
     }
   }

@@ -16,8 +16,6 @@
 #   serve-smoke        bench_serve --smoke closed/open-loop sweep; the
 #                      emitted JSON must pass the --serve schema check
 #                      (docs/SERVING.md)
-#   ctest-simd-off     full suite with the hardware SIMD backend disabled
-#                      (docs/SIMD.md)
 #   ctest-isa-scalar   full suite with the runtime ISA dispatch capped at
 #                      the scalar tier (MOCOGRAD_SIMD_ISA=scalar) — one
 #                      binary carries every tier and each must reproduce
@@ -25,13 +23,10 @@
 #   ctest-isa-sse      same cap at the SSE tier (the x86-64 baseline
 #                      vector path; falls back to scalar elsewhere)
 #   ctest-gemm-block   full suite under deliberately tiny, ragged GEMM
-#                      blocking, hardware and scalar backends — blocking is
-#                      a loop-order choice, never a results choice
-#   ctest-autograd-seq full suite on the sequential backward executor
-#                      (MOCOGRAD_AUTOGRAD_EXEC=seq) — the ready-queue
-#                      engine is bit-identical to the linear replay, so the
-#                      fallback must stay green too (docs/AUTOGRAD.md)
-#   simd-diff          training stdout byte-identical with SIMD on and off
+#                      blocking, widest and scalar tiers — blocking is a
+#                      loop-order choice, never a results choice
+#   simd-diff          training stdout byte-identical on the widest tier and
+#                      with MOCOGRAD_SIMD_ISA=scalar
 #   bench-mtl-smoke    bench_mtl/run_benchmark.sh --smoke (~20 s): every
 #                      benchmark workload briefly, plain and traced, with
 #                      its checks — pool-1 replica bitwise equal to the
@@ -157,10 +152,6 @@ pass_serve_smoke() {
   "$build_dir/tools/validate_json" --serve "$serve_json"
 }
 
-pass_ctest_simd_off() {
-  (cd "$build_dir" && MOCOGRAD_SIMD=0 ctest --output-on-failure -j)
-}
-
 pass_ctest_isa_scalar() {
   (cd "$build_dir" && MOCOGRAD_SIMD_ISA=scalar ctest --output-on-failure -j)
 }
@@ -173,22 +164,18 @@ pass_ctest_gemm_block() {
   (cd "$build_dir" &&
     MOCOGRAD_GEMM_BLOCK=10,24,32 ctest --output-on-failure -j) &&
   (cd "$build_dir" &&
-    MOCOGRAD_GEMM_BLOCK=10,24,32 MOCOGRAD_SIMD=0 ctest --output-on-failure -j)
-}
-
-pass_ctest_autograd_seq() {
-  (cd "$build_dir" &&
-    MOCOGRAD_AUTOGRAD_EXEC=seq ctest --output-on-failure -j)
+    MOCOGRAD_GEMM_BLOCK=10,24,32 MOCOGRAD_SIMD_ISA=scalar \
+      ctest --output-on-failure -j)
 }
 
 pass_simd_diff() {
   simd_on="$build_dir/simd_smoke_on.txt"
   simd_off="$build_dir/simd_smoke_off.txt"
   "$build_dir/examples/example_quickstart" > "$simd_on" || return 1
-  MOCOGRAD_SIMD=0 "$build_dir/examples/example_quickstart" > "$simd_off" ||
-    return 1
+  MOCOGRAD_SIMD_ISA=scalar "$build_dir/examples/example_quickstart" \
+    > "$simd_off" || return 1
   diff "$simd_on" "$simd_off" || {
-    echo "training output differs between MOCOGRAD_SIMD=1 and =0"
+    echo "training output differs between the widest and the scalar tier"
     return 1
   }
 }
@@ -274,11 +261,9 @@ run_pass ctest-threads-1 pass_ctest_threads_1
 run_pass ctest-threads-4 pass_ctest_threads_4
 run_pass obs-smoke pass_obs_smoke
 run_pass serve-smoke pass_serve_smoke
-run_pass ctest-simd-off pass_ctest_simd_off
 run_pass ctest-isa-scalar pass_ctest_isa_scalar
 run_pass ctest-isa-sse pass_ctest_isa_sse
 run_pass ctest-gemm-block pass_ctest_gemm_block
-run_pass ctest-autograd-seq pass_ctest_autograd_seq
 run_pass simd-diff pass_simd_diff
 run_pass bench-mtl-smoke pass_bench_mtl_smoke
 run_pass analyze pass_analyze
