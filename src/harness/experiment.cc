@@ -5,7 +5,6 @@
 
 #include "base/env.h"
 #include "eval/metrics.h"
-#include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "mtl/cgc.h"
@@ -175,26 +174,6 @@ RunResult TrainAndEvaluate(const data::MtlDataset& dataset,
   mtl::MtlTrainer trainer(model.get(), aggregator, optimizer.get(), kinds,
                           config.seed ^ 0x9e3779b9u);
 
-  // Optional per-step metrics JSONL (config wins over MOCOGRAD_METRICS),
-  // sampled every `metrics_every` steps (config wins over
-  // MOCOGRAD_METRICS_EVERY).
-  const std::string metrics_path =
-      !config.metrics_jsonl_path.empty() ? config.metrics_jsonl_path
-                                         : GetEnvString("MOCOGRAD_METRICS");
-  const int metrics_every =
-      config.metrics_every > 0
-          ? config.metrics_every
-          : GetEnvInt("MOCOGRAD_METRICS_EVERY", 1, 1, 1 << 30);
-  std::unique_ptr<obs::StepMetricsSink> metrics_sink;
-  if (!metrics_path.empty()) {
-    metrics_sink = std::make_unique<obs::StepMetricsSink>(metrics_path);
-    if (!metrics_sink->ok()) {
-      std::fprintf(stderr, "mocograd: metrics sink disabled: %s\n",
-                   metrics_sink->status().ToString().c_str());
-      metrics_sink.reset();
-    }
-  }
-
   // Optional conflict-telemetry JSONL (config wins over MOCOGRAD_TELEMETRY /
   // MOCOGRAD_TELEMETRY_EVERY). Attached to the trainer; observation-only.
   const std::string telemetry_path =
@@ -238,22 +217,6 @@ RunResult TrainAndEvaluate(const data::MtlDataset& dataset,
       result.loss_curve.push_back(stats.losses);
     }
     if (step + 1 == config.steps) result.final_losses = stats.losses;
-    if (metrics_sink && step % metrics_every == 0) {
-      std::vector<std::pair<std::string, double>> fields;
-      for (size_t t = 0; t < stats.losses.size(); ++t) {
-        fields.emplace_back("loss_" + std::to_string(t), stats.losses[t]);
-      }
-      fields.emplace_back("phase_forward", stats.phase.forward);
-      fields.emplace_back("phase_backward", stats.phase.backward);
-      fields.emplace_back("phase_flatten", stats.phase.flatten);
-      fields.emplace_back("phase_conflict_stats", stats.phase.conflict_stats);
-      fields.emplace_back("phase_aggregate", stats.phase.aggregate);
-      fields.emplace_back("phase_write_back", stats.phase.write_back);
-      fields.emplace_back("phase_clip", stats.phase.clip);
-      fields.emplace_back("phase_optimizer", stats.phase.optimizer);
-      fields.emplace_back("mean_gcd", stats.conflicts.mean_gcd);
-      metrics_sink->WriteStep(step, fields);
-    }
   }
   result.mean_gcd = gcd_sum / config.steps;
   result.mean_backward_seconds = backward_sum / config.steps;

@@ -29,14 +29,6 @@ struct TrainConfig {
   /// Record per-task training losses every `loss_curve_every` steps
   /// (0 = off); used by the convergence figure.
   int loss_curve_every = 0;
-  /// Per-step metrics JSONL destination ("-" = stdout, empty = fall back to
-  /// the MOCOGRAD_METRICS env var; off when both are empty). Each training
-  /// step appends one record with losses, phase times, and counter deltas —
-  /// see docs/OBSERVABILITY.md.
-  std::string metrics_jsonl_path;
-  /// Sampling stride for the metrics sink: write every `metrics_every`-th
-  /// step (0 = fall back to MOCOGRAD_METRICS_EVERY, default 1 = every step).
-  int metrics_every = 0;
   /// Conflict-telemetry JSONL destination ("-" = stdout, empty = fall back
   /// to the MOCOGRAD_TELEMETRY env var; off when both are empty). Sampled
   /// steps append one typed record with losses, per-task gradient/momentum

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "base/env.h"
+#include "base/vec_ops.h"
 
 namespace mocograd {
 namespace mtl {
@@ -45,15 +46,14 @@ std::vector<obs::WatchdogEvent> TrainingWatchdog::Observe(
     min_loss_[t] = std::min(min_loss_[t], loss);
   }
 
-  // One pass over the aggregated gradient: non-finite census + norm.
+  // One SIMD pass over the aggregated gradient. Float squares summed in
+  // double cannot overflow, so the sum is non-finite exactly when some
+  // element is; only then are the non-finite elements counted.
+  const double sum2 = vec::SquaredNormF64(
+      static_cast<int64_t>(aggregated_grad.size()), aggregated_grad.data());
   int64_t nonfinite = 0;
-  double sum2 = 0.0;
-  for (const float v : aggregated_grad) {
-    if (!std::isfinite(v)) {
-      ++nonfinite;
-      continue;
-    }
-    sum2 += static_cast<double>(v) * v;
+  if (!std::isfinite(sum2)) {
+    for (const float v : aggregated_grad) nonfinite += !std::isfinite(v);
   }
   if (nonfinite > 0) {
     events.push_back({step, "nonfinite_grad", -1,

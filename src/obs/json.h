@@ -55,7 +55,7 @@ struct JsonValue {
 Result<JsonValue> ParseJson(const std::string& text);
 
 /// --- Serialization helpers shared by the JSONL writers ---------------------
-/// (metrics sink, telemetry sink, tools). All append to `out`.
+/// (telemetry sink, tools). All append to `out`.
 
 /// Appends `"key":` with `"` and `\` escaped.
 void AppendJsonKey(std::string* out, const std::string& key);

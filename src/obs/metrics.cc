@@ -8,7 +8,6 @@
 
 #include "base/check.h"
 #include "base/mutex.h"
-#include "obs/json.h"
 
 namespace mocograd {
 namespace obs {
@@ -141,7 +140,6 @@ struct MetricsRegistry::Impl {
   // lock-free atomics updated without mu (that is the whole point of
   // handing out stable Counter*/Histogram* pointers).
   std::map<std::string, std::unique_ptr<Counter>> counters MG_GUARDED_BY(mu);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges MG_GUARDED_BY(mu);
   std::map<std::string, std::unique_ptr<Histogram>> histograms
       MG_GUARDED_BY(mu);
 };
@@ -159,55 +157,21 @@ MetricsRegistry& MetricsRegistry::Global() {
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   Impl& i = impl();
   MutexLock lk(&i.mu);
-  MG_CHECK(i.gauges.count(name) == 0 && i.histograms.count(name) == 0,
+  MG_CHECK(i.histograms.count(name) == 0,
            "metric registered with a different kind: ", name);
   auto& slot = i.counters[name];
   if (slot == nullptr) slot = std::make_unique<Counter>();
   return slot.get();
 }
 
-Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  Impl& i = impl();
-  MutexLock lk(&i.mu);
-  MG_CHECK(i.counters.count(name) == 0 && i.histograms.count(name) == 0,
-           "metric registered with a different kind: ", name);
-  auto& slot = i.gauges[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return slot.get();
-}
-
 Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   Impl& i = impl();
   MutexLock lk(&i.mu);
-  MG_CHECK(i.counters.count(name) == 0 && i.gauges.count(name) == 0,
+  MG_CHECK(i.counters.count(name) == 0,
            "metric registered with a different kind: ", name);
   auto& slot = i.histograms[name];
   if (slot == nullptr) slot = std::make_unique<Histogram>();
   return slot.get();
-}
-
-std::vector<MetricSample> MetricsRegistry::Snapshot() {
-  Impl& i = impl();
-  MutexLock lk(&i.mu);
-  std::vector<MetricSample> out;
-  out.reserve(i.counters.size() + i.gauges.size() + 4 * i.histograms.size());
-  for (const auto& [name, c] : i.counters) {
-    out.push_back({name, static_cast<double>(c->value())});
-  }
-  for (const auto& [name, g] : i.gauges) {
-    out.push_back({name, g->value()});
-  }
-  for (const auto& [name, h] : i.histograms) {
-    out.push_back({name + ".count", static_cast<double>(h->count())});
-    out.push_back({name + ".sum", h->sum()});
-    out.push_back({name + ".p50", h->Percentile(0.50)});
-    out.push_back({name + ".p99", h->Percentile(0.99)});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const MetricSample& a, const MetricSample& b) {
-              return a.name < b.name;
-            });
-  return out;
 }
 
 std::vector<MetricSample> MetricsRegistry::SnapshotCounters() {
@@ -237,88 +201,7 @@ void MetricsRegistry::ResetAll() {
   Impl& i = impl();
   MutexLock lk(&i.mu);
   for (auto& [name, c] : i.counters) c->Reset();
-  for (auto& [name, g] : i.gauges) g->Reset();
   for (auto& [name, h] : i.histograms) h->Reset();
-}
-
-StepMetricsSink::StepMetricsSink(const std::string& path) {
-  if (path == "-") {
-    file_ = stdout;
-  } else {
-    // Append: one process often runs several training loops (baselines +
-    // methods), each opening its own sink on the same MOCOGRAD_METRICS path.
-    file_ = std::fopen(path.c_str(), "a");
-    owns_file_ = true;
-  }
-  if (file_ == nullptr) {
-    status_ = Status::Internal("cannot open metrics sink: " + path);
-    return;
-  }
-  SetMetricsEnabled(true);
-  prev_counters_ = MetricsRegistry::Global().SnapshotCounters();
-}
-
-StepMetricsSink::~StepMetricsSink() {
-  if (file_ != nullptr && owns_file_) std::fclose(file_);
-}
-
-void StepMetricsSink::WriteStep(
-    int64_t step, const std::vector<std::pair<std::string, double>>& fields) {
-  if (file_ == nullptr) return;
-  std::string line = "{\"step\":";
-  AppendJsonNumber(&line, static_cast<double>(step));
-  for (const auto& [key, value] : fields) {
-    line += ',';
-    AppendJsonKey(&line, key);
-    AppendJsonNumber(&line, value);
-  }
-  // Counter deltas since the previous WriteStep (first call: since the sink
-  // opened). Snapshot() is sorted by name, so the two lists merge linearly.
-  const std::vector<MetricSample> now =
-      MetricsRegistry::Global().SnapshotCounters();
-  line += ",\"counters\":{";
-  bool first = true;
-  size_t pi = 0;
-  for (const MetricSample& cur : now) {
-    double prev = 0.0;
-    while (pi < prev_counters_.size() && prev_counters_[pi].name < cur.name) {
-      ++pi;
-    }
-    if (pi < prev_counters_.size() && prev_counters_[pi].name == cur.name) {
-      prev = prev_counters_[pi].value;
-    }
-    const double delta = cur.value - prev;
-    if (delta == 0.0) continue;
-    if (!first) line += ',';
-    first = false;
-    AppendJsonKey(&line, cur.name);
-    AppendJsonNumber(&line, delta);
-  }
-  line += '}';
-  // Per-kernel latency summary from the span histograms (gemm /
-  // parallel_for / per-task backward), cumulative since process start:
-  // percentiles are distribution properties, so unlike counters they are
-  // reported as-is rather than diffed.
-  const std::vector<HistogramSample> hists =
-      MetricsRegistry::Global().SnapshotHistograms();
-  bool any = false;
-  for (const HistogramSample& h : hists) {
-    if (h.count == 0) continue;
-    line += any ? "," : ",\"kernels\":{";
-    any = true;
-    AppendJsonKey(&line, h.name);
-    line += "{\"count\":";
-    AppendJsonNumber(&line, static_cast<double>(h.count));
-    line += ",\"p50\":";
-    AppendJsonNumber(&line, h.p50);
-    line += ",\"p99\":";
-    AppendJsonNumber(&line, h.p99);
-    line += '}';
-  }
-  if (any) line += '}';
-  line += "}\n";
-  prev_counters_ = now;
-  std::fwrite(line.data(), 1, line.size(), file_);
 }
 
 }  // namespace obs

@@ -5,12 +5,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <string>
-#include <utility>
 #include <vector>
-
-#include "base/status.h"
 
 namespace mocograd {
 namespace obs {
@@ -18,7 +14,7 @@ namespace obs {
 namespace internal {
 /// Hot-path kill switch: kernels guard their counter updates behind one
 /// relaxed load of this flag, so metrics cost nothing when nobody reads
-/// them. Off by default; flipped on by MOCOGRAD_METRICS=<path> or
+/// them. Off by default; flipped on by opening an obs::TelemetrySink or by
 /// SetMetricsEnabled(true).
 extern std::atomic<bool> g_metrics_enabled;
 }  // namespace internal
@@ -39,30 +35,6 @@ class Counter {
 
  private:
   std::atomic<int64_t> value_{0};
-};
-
-/// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  void Set(double v) { bits_.store(Encode(v), std::memory_order_relaxed); }
-  double value() const {
-    return Decode(bits_.load(std::memory_order_relaxed));
-  }
-  void Reset() { Set(0.0); }
-
- private:
-  static uint64_t Encode(double v) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    __builtin_memcpy(&bits, &v, sizeof(bits));
-    return bits;
-  }
-  static double Decode(uint64_t bits) {
-    double v;
-    __builtin_memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  std::atomic<uint64_t> bits_{0};
 };
 
 /// Exponential-bucket histogram for non-negative samples (durations,
@@ -96,9 +68,9 @@ class Histogram {
   std::atomic<uint64_t> max_bits_{0xFFF0000000000000ull};   // -inf
 };
 
-/// One sampled metric value in a registry snapshot.
+/// One counter's value in a registry snapshot.
 struct MetricSample {
-  std::string name;  // histograms expand to name.count / name.sum / name.p50
+  std::string name;
   double value = 0.0;
 };
 
@@ -121,19 +93,14 @@ class MetricsRegistry {
   static MetricsRegistry& Global();
 
   Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
 
-  /// All current values, sorted by name (histograms expanded to
-  /// .count/.sum/.p50/.p99).
-  std::vector<MetricSample> Snapshot();
-
-  /// Counters only, sorted by name — the delta-friendly subset the JSONL
-  /// sink diffs between steps.
+  /// Counters, sorted by name — what the telemetry sink diffs between
+  /// records.
   std::vector<MetricSample> SnapshotCounters();
 
-  /// Histograms only, sorted by name, each summarized as
-  /// count/sum/p50/p99 — what the JSONL sink reports per kernel.
+  /// Histograms, sorted by name, each summarized as count/sum/p50/p99 —
+  /// what the telemetry sink reports per kernel.
   std::vector<HistogramSample> SnapshotHistograms();
 
   /// Zeroes every registered metric (registration is kept).
@@ -196,36 +163,6 @@ class ScopedTimer {
               return mg_hist;                                              \
             }()                                                            \
           : nullptr)
-
-/// Per-step JSONL sink: one JSON object per WriteStep call, holding the
-/// caller's fields plus the delta of every registered counter since the
-/// previous step (key "counters") and, when span histograms are populated,
-/// a "kernels" object with cumulative count/p50/p99 per histogram (the
-/// percentile of a duration distribution has no meaningful delta). Opening
-/// a sink enables metrics collection for the process.
-class StepMetricsSink {
- public:
-  /// Opens `path` for appending ("-" writes to stdout). Check ok() before
-  /// use.
-  explicit StepMetricsSink(const std::string& path);
-  ~StepMetricsSink();
-
-  StepMetricsSink(const StepMetricsSink&) = delete;
-  StepMetricsSink& operator=(const StepMetricsSink&) = delete;
-
-  bool ok() const { return file_ != nullptr; }
-  const Status& status() const { return status_; }
-
-  /// Appends one JSONL record: {"step":N,<fields...>,"counters":{...}}.
-  void WriteStep(int64_t step,
-                 const std::vector<std::pair<std::string, double>>& fields);
-
- private:
-  std::FILE* file_ = nullptr;
-  bool owns_file_ = false;
-  Status status_;
-  std::vector<MetricSample> prev_counters_;
-};
 
 }  // namespace obs
 }  // namespace mocograd

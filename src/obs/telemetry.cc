@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "base/check.h"
 #include "base/simd.h"
@@ -100,14 +101,17 @@ TelemetrySink::TelemetrySink(const std::string& path, int every)
   if (path == "-") {
     file_ = stdout;
   } else {
-    // Append, like StepMetricsSink: one process often runs several training
-    // loops (baselines + methods) against the same MOCOGRAD_TELEMETRY path.
+    // Append: one process often runs several training loops (baselines +
+    // methods) against the same MOCOGRAD_TELEMETRY path.
     file_ = std::fopen(path.c_str(), "a");
     owns_file_ = true;
   }
   if (file_ == nullptr) {
     status_ = Status::Internal("cannot open telemetry sink: " + path);
+    return;
   }
+  SetMetricsEnabled(true);
+  prev_counters_ = MetricsRegistry::Global().SnapshotCounters();
 }
 
 TelemetrySink::~TelemetrySink() {
@@ -138,6 +142,49 @@ void AppendFloatArray(std::string* out, const char* key,
     AppendJsonNumber(out, v[i]);
   }
   *out += ']';
+}
+
+// Appends "counters" (deltas against `*prev`, zero deltas omitted) and, once
+// any histogram holds a sample, "kernels" (cumulative count/p50/p99 per
+// histogram: a percentile of a duration distribution has no meaningful
+// delta). Updates `*prev` to the current counter values.
+void AppendRegistryDeltas(std::string* out, std::vector<MetricSample>* prev) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  std::vector<MetricSample> now = registry.SnapshotCounters();
+  *out += ",\"counters\":{";
+  bool first = true;
+  size_t pi = 0;
+  for (const MetricSample& cur : now) {
+    // Both snapshots are name-sorted, so they merge linearly; a counter
+    // registered since the previous record starts from 0.
+    while (pi < prev->size() && (*prev)[pi].name < cur.name) ++pi;
+    const double before =
+        pi < prev->size() && (*prev)[pi].name == cur.name ? (*prev)[pi].value
+                                                          : 0.0;
+    const double delta = cur.value - before;
+    if (delta == 0.0) continue;
+    if (!first) *out += ',';
+    first = false;
+    AppendJsonKey(out, cur.name);
+    AppendJsonNumber(out, delta);
+  }
+  *out += '}';
+  *prev = std::move(now);
+  bool any = false;
+  for (const HistogramSample& h : registry.SnapshotHistograms()) {
+    if (h.count == 0) continue;
+    *out += any ? "," : ",\"kernels\":{";
+    any = true;
+    AppendJsonKey(out, h.name);
+    *out += "{\"count\":";
+    AppendJsonNumber(out, static_cast<double>(h.count));
+    *out += ",\"p50\":";
+    AppendJsonNumber(out, h.p50);
+    *out += ",\"p99\":";
+    AppendJsonNumber(out, h.p99);
+    *out += '}';
+  }
+  if (any) *out += '}';
 }
 
 }  // namespace
@@ -250,8 +297,9 @@ void TelemetrySink::WriteRecord(const TelemetryRecord& record) {
     }
     line += '}';
   }
-  line += "}\n";
   MutexLock lk(&mu_);
+  AppendRegistryDeltas(&line, &prev_counters_);
+  line += "}\n";
   std::fwrite(line.data(), 1, line.size(), file_);
 }
 

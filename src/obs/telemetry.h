@@ -9,6 +9,7 @@
 
 #include "base/mutex.h"
 #include "base/status.h"
+#include "obs/metrics.h"
 
 namespace mocograd {
 namespace obs {
@@ -158,16 +159,20 @@ struct TelemetryRecord {
   std::vector<std::pair<std::string, double>> phase_seconds;
 };
 
-/// Appends typed training-dynamics records as JSONL — the "conflict
-/// observatory" channel (docs/OBSERVABILITY.md "Conflict telemetry").
-/// Observation-only: writing a record never touches RNG streams or any
-/// computed value. Two record shapes share the file, discriminated by a
-/// "type" key: "step" (TelemetryRecord) and "watchdog" (WatchdogEvent).
+/// Appends typed training-dynamics records as JSONL — the process's one
+/// per-step observation channel (docs/OBSERVABILITY.md "Conflict
+/// telemetry"). Observation-only: writing a record never touches RNG
+/// streams or any computed value. Two record shapes share the file,
+/// discriminated by a "type" key: "step" (TelemetryRecord plus the metrics
+/// registry's counter deltas and kernel histograms) and "watchdog"
+/// (WatchdogEvent).
 class TelemetrySink {
  public:
-  /// Opens `path` in append mode ("-" = stdout), like StepMetricsSink: one
-  /// process may run several training loops against the same path. `every`
-  /// is the sampling stride (record steps where step % every == 0).
+  /// Opens `path` in append mode ("-" = stdout): one process may run
+  /// several training loops against the same path. `every` is the sampling
+  /// stride (record steps where step % every == 0). A successful open turns
+  /// metrics collection on (obs::SetMetricsEnabled) and takes the counter
+  /// baseline the first record's deltas are measured from.
   TelemetrySink(const std::string& path, int every);
   ~TelemetrySink();
 
@@ -181,7 +186,10 @@ class TelemetrySink {
   /// True when `step` falls on the sampling stride.
   bool ShouldSample(int64_t step) const { return step % every_ == 0; }
 
-  /// Appends one {"type":"step",...} record.
+  /// Appends one {"type":"step",...} record. Besides `record`'s fields it
+  /// carries "counters" (the delta of each registered counter since this
+  /// sink's previous record; zero deltas omitted) and "kernels" (cumulative
+  /// {count,p50,p99} per populated histogram; omitted while all are empty).
   void WriteRecord(const TelemetryRecord& record);
 
   /// Appends one {"type":"watchdog",...} record (watchdog events are never
@@ -197,6 +205,8 @@ class TelemetrySink {
   // buffer first, then appended with a single fwrite under mu_, so records
   // from concurrent writers (trainer + watchdog) never interleave bytes.
   Mutex mu_;
+  // Counter values at the previous step record (name-sorted).
+  std::vector<MetricSample> prev_counters_ MG_GUARDED_BY(mu_);
 };
 
 }  // namespace obs

@@ -1,6 +1,7 @@
 // The conflict observatory's core contract: telemetry, decision tracing,
 // and the watchdog are observation-only. Training with the full telemetry
-// stack attached (sink sampling every step + watchdog armed) must leave
+// stack attached (sink sampling every step, which also turns on the
+// metrics counters and histograms, + watchdog armed) must leave
 // bit-identical parameters to training with all of it off — for any pool
 // size.
 
@@ -8,6 +9,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "core/registry.h"
 #include "mtl/hps.h"
 #include "mtl/trainer.h"
+#include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "optim/optimizer.h"
 
@@ -66,11 +70,21 @@ std::vector<float> Train(const std::string& method, int threads,
     wd_opts.enabled = true;
     wd_opts.warmup_steps = 1;  // arm the detectors almost immediately
   } else {
+    // An earlier "on" run's sink left the process-wide metrics switch on;
+    // turn it off so this run really records no counters or histograms.
+    obs::SetMetricsEnabled(false);
     wd_opts.enabled = false;
   }
   trainer.watchdog()->set_options(wd_opts);
 
   for (int step = 0; step < 6; ++step) trainer.Step(batches);
+  sink.reset();  // flush the records before reading them back
+  if (telemetry_on) {
+    std::ifstream in(path);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find("\"counters\""), std::string::npos);
+  }
 
   std::vector<float> out;
   for (autograd::Variable* p : model.Parameters()) {

@@ -47,6 +47,23 @@ TEST(WatchdogTest, FlagsNonFiniteGradient) {
   EXPECT_EQ(events[0].value, 2.0);  // two poisoned coordinates
 }
 
+TEST(WatchdogTest, CountsEveryNonFiniteKindButNotLargeFiniteValues) {
+  TrainingWatchdog wd(FastOptions());
+  auto events = wd.Observe(0, {1.0f}, {kInf, -kInf, kNan, 3e38f});
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind, "nonfinite_grad");
+  EXPECT_EQ(events[0].value, 3.0);
+  // An infinity without a NaN makes the squared norm +inf, not NaN.
+  events = wd.Observe(1, {1.0f}, {0.5f, -kInf});
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].value, 1.0);
+
+  // Squares of the largest floats still sum finitely in double.
+  TrainingWatchdog clean(FastOptions());
+  EXPECT_TRUE(
+      clean.Observe(0, {1.0f}, std::vector<float>(64, 3e38f)).empty());
+}
+
 TEST(WatchdogTest, FlagsLossDivergenceOnlyAfterWarmup) {
   WatchdogOptions opts = FastOptions();
   opts.loss_divergence_factor = 10.0;

@@ -2,13 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "obs/json.h"
 
 namespace mocograd {
 namespace obs {
@@ -50,13 +46,6 @@ TEST_F(MetricsTest, RegistryReturnsStablePointers) {
   Counter* a = MetricsRegistry::Global().GetCounter("test.stable");
   Counter* b = MetricsRegistry::Global().GetCounter("test.stable");
   EXPECT_EQ(a, b);
-}
-
-TEST_F(MetricsTest, GaugeLastWriteWins) {
-  Gauge* g = MetricsRegistry::Global().GetGauge("test.gauge");
-  g->Set(3.5);
-  g->Set(-1.25);
-  EXPECT_DOUBLE_EQ(g->value(), -1.25);
 }
 
 TEST_F(MetricsTest, HistogramBasicStats) {
@@ -157,96 +146,6 @@ TEST_F(MetricsTest, DisabledTimeScopeSkipsRecording) {
   SetMetricsEnabled(true);
   EXPECT_EQ(MetricsRegistry::Global().GetHistogram("test.timed_gated")->count(),
             0);
-}
-
-TEST_F(MetricsTest, StepSinkWritesParseableJsonlWithCounterDeltas) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "/metrics_sink_test.jsonl";
-  std::remove(path.c_str());
-  {
-    StepMetricsSink sink(path);
-    ASSERT_TRUE(sink.ok()) << sink.status().ToString();
-    MG_METRIC_COUNT("test.sink_counter", 3);
-    sink.WriteStep(0, {{"loss_0", 1.5}});
-    MG_METRIC_COUNT("test.sink_counter", 4);
-    sink.WriteStep(1, {{"loss_0", 1.25}});
-  }
-
-  std::ifstream in(path);
-  std::string line;
-  std::vector<std::string> lines;
-  while (std::getline(in, line)) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 2u);
-  for (const std::string& l : lines) {
-    EXPECT_TRUE(ValidateJson(l).ok()) << l;
-  }
-  // Deltas, not totals: step 0 saw +3, step 1 saw +4.
-  EXPECT_NE(lines[0].find("\"test.sink_counter\":3"), std::string::npos)
-      << lines[0];
-  EXPECT_NE(lines[1].find("\"test.sink_counter\":4"), std::string::npos)
-      << lines[1];
-  EXPECT_NE(lines[0].find("\"loss_0\":1.5"), std::string::npos);
-  EXPECT_NE(lines[1].find("\"step\":1"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST_F(MetricsTest, StepSinkReportsKernelHistogramsWhenPopulated) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "/metrics_sink_kernels.jsonl";
-  std::remove(path.c_str());
-  {
-    StepMetricsSink sink(path);
-    ASSERT_TRUE(sink.ok()) << sink.status().ToString();
-    // No histogram samples yet: no "kernels" key on this line.
-    sink.WriteStep(0, {});
-    MetricsRegistry::Global()
-        .GetHistogram("test.kernel.seconds")
-        ->Record(2e-3);
-    sink.WriteStep(1, {});
-  }
-
-  std::ifstream in(path);
-  std::string line;
-  std::vector<std::string> lines;
-  while (std::getline(in, line)) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 2u);
-  for (const std::string& l : lines) {
-    EXPECT_TRUE(ValidateJson(l).ok()) << l;
-  }
-  EXPECT_EQ(lines[0].find("\"kernels\""), std::string::npos) << lines[0];
-  EXPECT_NE(lines[1].find("\"kernels\""), std::string::npos) << lines[1];
-  EXPECT_NE(lines[1].find("\"test.kernel.seconds\""), std::string::npos)
-      << lines[1];
-  EXPECT_NE(lines[1].find("\"count\":1"), std::string::npos) << lines[1];
-  EXPECT_NE(lines[1].find("\"p50\":"), std::string::npos) << lines[1];
-  EXPECT_NE(lines[1].find("\"p99\":"), std::string::npos) << lines[1];
-  std::remove(path.c_str());
-}
-
-TEST_F(MetricsTest, StepSinkAppendsAcrossReopens) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "/metrics_sink_append.jsonl";
-  std::remove(path.c_str());
-  {
-    StepMetricsSink sink(path);
-    sink.WriteStep(0, {});
-  }
-  {
-    StepMetricsSink sink(path);
-    sink.WriteStep(0, {});
-  }
-  std::ifstream in(path);
-  std::string line;
-  int n = 0;
-  while (std::getline(in, line)) ++n;
-  EXPECT_EQ(n, 2);
-  std::remove(path.c_str());
-}
-
-TEST_F(MetricsTest, SinkOnBadPathReportsError) {
-  StepMetricsSink sink("/nonexistent_dir_xyz/metrics.jsonl");
-  EXPECT_FALSE(sink.ok());
-  sink.WriteStep(0, {});  // must not crash
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "obs/metrics.h"
 
 namespace mocograd {
 namespace obs {
@@ -89,8 +90,21 @@ class TelemetrySinkTest : public ::testing::Test {
   void SetUp() override {
     path_ = ::testing::TempDir() + "/telemetry_test.jsonl";
     std::remove(path_.c_str());
+    MetricsRegistry::Global().ResetAll();
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+  // Opening a sink turns metrics on process-wide; turn them off again.
+  void TearDown() override {
+    std::remove(path_.c_str());
+    SetMetricsEnabled(false);
+  }
+
+  static TelemetryRecord OneTaskRecord(const std::string& method) {
+    TelemetryRecord rec;
+    rec.method = method;
+    rec.losses = {1.0f};
+    rec.num_tasks = 1;
+    return rec;
+  }
 
   std::vector<std::string> ReadLines() {
     std::FILE* f = std::fopen(path_.c_str(), "rb");
@@ -217,23 +231,69 @@ TEST_F(TelemetrySinkTest, NonFiniteValuesSerializeAsNull) {
 TEST_F(TelemetrySinkTest, AppendsAcrossSinkInstances) {
   {
     TelemetrySink sink(path_, 1);
-    TelemetryRecord rec;
-    rec.step = 0;
-    rec.method = "a";
-    rec.losses = {1.0f};
-    rec.num_tasks = 1;
-    sink.WriteRecord(rec);
+    sink.WriteRecord(OneTaskRecord("a"));
   }
   {
     TelemetrySink sink(path_, 1);
-    TelemetryRecord rec;
-    rec.step = 0;
-    rec.method = "b";
-    rec.losses = {2.0f};
-    rec.num_tasks = 1;
-    sink.WriteRecord(rec);
+    sink.WriteRecord(OneTaskRecord("b"));
   }
   EXPECT_EQ(ReadLines().size(), 2u);
+}
+
+TEST_F(TelemetrySinkTest, StepRecordsCarryCounterDeltas) {
+  TelemetryRecord rec = OneTaskRecord("m");
+  {
+    TelemetrySink sink(path_, 1);
+    ASSERT_TRUE(sink.ok());
+    EXPECT_TRUE(MetricsEnabled());  // opening the sink turns metrics on
+    MG_METRIC_COUNT("test.sink_counter", 3);
+    sink.WriteRecord(rec);
+    MG_METRIC_COUNT("test.sink_counter", 4);
+    rec.step = 1;
+    sink.WriteRecord(rec);
+    sink.WriteRecord(rec);
+  }
+
+  const auto lines = ReadLines();
+  ASSERT_EQ(lines.size(), 3u);
+  // Deltas, not totals: +3, then +4, then nothing (zero deltas omitted).
+  const double want[] = {3.0, 4.0, -1.0};
+  for (size_t i = 0; i < lines.size(); ++i) {
+    Result<JsonValue> parsed = ParseJson(lines[i]);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    const JsonValue* counters = parsed.value().Find("counters");
+    ASSERT_NE(counters, nullptr) << lines[i];
+    EXPECT_EQ(counters->NumberOr("test.sink_counter", -1.0), want[i])
+        << lines[i];
+  }
+}
+
+TEST_F(TelemetrySinkTest, KernelsKeyIsOmittedWhileHistogramsAreEmpty) {
+  TelemetryRecord rec = OneTaskRecord("m");
+  {
+    TelemetrySink sink(path_, 1);
+    ASSERT_TRUE(sink.ok());
+    sink.WriteRecord(rec);
+    MetricsRegistry::Global()
+        .GetHistogram("test.kernel.seconds")
+        ->Record(2e-3);
+    rec.step = 1;
+    sink.WriteRecord(rec);
+  }
+
+  const auto lines = ReadLines();
+  ASSERT_EQ(lines.size(), 2u);
+  Result<JsonValue> before = ParseJson(lines[0]);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before.value().Find("kernels"), nullptr) << lines[0];
+  Result<JsonValue> after = ParseJson(lines[1]);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  const JsonValue* kernels = after.value().Find("kernels");
+  ASSERT_NE(kernels, nullptr) << lines[1];
+  const JsonValue* k = kernels->Find("test.kernel.seconds");
+  ASSERT_NE(k, nullptr) << lines[1];
+  EXPECT_EQ(k->NumberOr("count", 0), 1.0);
+  EXPECT_LE(k->NumberOr("p50", -1), k->NumberOr("p99", -2));
 }
 
 TEST(TelemetrySinkStatusTest, BadPathReportsError) {

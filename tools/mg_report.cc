@@ -5,10 +5,10 @@
 //   mg_report a.jsonl b.jsonl                  # A/B diff of two runs
 //   mg_report --out report.html --fail-on-watchdog run.jsonl
 //
-// Accepts both telemetry records ({"type":"step"|"watchdog",...}) and the
-// plain metrics-sink records ({"step":N,"loss_0":...}); a file holding
-// several training runs (step id resets to 0, or the method changes) is
-// split and every run gets its own section. Diff mode compares each file's
+// Reads the telemetry records ({"type":"step"|"watchdog",...}); a line
+// without one of those types is a parse error. A file holding several
+// training runs (step id resets to 0, or the method changes) is split and
+// every run gets its own section. Diff mode compares each file's
 // longest run: side-by-side summaries, overlaid loss/GCD curves, and the
 // per-task final-loss gap. Exit codes: 0 ok, 1 usage/parse error,
 // 2 --fail-on-watchdog tripped.
@@ -141,24 +141,6 @@ StepRec ParseTelemetryStep(const JsonValue& rec) {
   return s;
 }
 
-// Metrics-sink records carry loss_<t> / phase_<name> / mean_gcd scalars.
-StepRec ParseMetricsStep(const JsonValue& rec) {
-  StepRec s;
-  s.step = static_cast<int64_t>(rec.NumberOr("step", 0));
-  for (int t = 0;; ++t) {
-    const JsonValue* v = rec.Find("loss_" + std::to_string(t));
-    if (v == nullptr || !v->is_number()) break;
-    s.losses.push_back(v->number_value);
-  }
-  s.mean_gcd = rec.NumberOr("mean_gcd", kNan);
-  for (const auto& [k, v] : rec.members) {
-    if (k.rfind("phase_", 0) == 0 && v.is_number()) {
-      s.phase.emplace_back(k.substr(6), v.number_value);
-    }
-  }
-  return s;
-}
-
 // Splits one JSONL file into runs: a step record whose id does not increase
 // (or whose method changes) starts a new run. Watchdog records attach to
 // the current run.
@@ -190,8 +172,12 @@ bool ParseFile(const std::string& path, std::vector<Run>* runs) {
       return false;
     }
     const JsonValue& rec = parsed.value();
-    if (!rec.is_object()) continue;
     const std::string type = rec.StringOr("type", "");
+    if (type != "step" && type != "watchdog") {
+      std::fprintf(stderr, "mg_report: %s:%d: not a step/watchdog record\n",
+                   path.c_str(), line_no);
+      return false;
+    }
     if (type == "watchdog") {
       if (runs->empty()) runs->push_back({});
       runs->back().watchdog.push_back(
@@ -201,10 +187,8 @@ bool ParseFile(const std::string& path, std::vector<Run>* runs) {
            rec.NumberOr("value", kNan), rec.NumberOr("threshold", 0.0)});
       continue;
     }
-    const std::string method =
-        type == "step" ? rec.StringOr("method", "?") : std::string("metrics");
-    StepRec s = type == "step" ? ParseTelemetryStep(rec)
-                               : ParseMetricsStep(rec);
+    const std::string method = rec.StringOr("method", "?");
+    StepRec s = ParseTelemetryStep(rec);
     const bool new_run = runs->empty() || runs->back().method != method ||
                          (!runs->back().steps.empty() &&
                           s.step <= runs->back().steps.back().step);
@@ -605,8 +589,8 @@ int main(int argc, char** argv) {
       std::printf(
           "usage: mg_report [--out report.html] [--fail-on-watchdog] "
           "run_a.jsonl [run_b.jsonl]\n"
-          "Renders a self-contained HTML report from conflict-telemetry /\n"
-          "metrics JSONL; two inputs produce an A/B run diff.\n");
+          "Renders a self-contained HTML report from telemetry JSONL\n"
+          "(MOCOGRAD_TELEMETRY); two inputs produce an A/B run diff.\n");
       return 0;
     } else {
       inputs.push_back(argv[i]);

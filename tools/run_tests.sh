@@ -9,10 +9,10 @@
 #   ctest-threads-1/4  full suite with the pool forced serial and at 4
 #                      threads — pool size never changes results
 #                      (docs/ARCHITECTURE.md, parallel_determinism_test)
-#   obs-smoke          traced + metered + telemetered training run; the
-#                      emitted Chrome-trace JSON must parse, metrics JSONL
-#                      must be line-valid, and conflict telemetry must pass
-#                      the --telemetry schema check (docs/OBSERVABILITY.md)
+#   obs-smoke          traced + telemetered training run; the emitted
+#                      Chrome-trace JSON must parse, and the telemetry must
+#                      pass the --telemetry schema check and hold the
+#                      gemm.calls counter (docs/OBSERVABILITY.md)
 #   serve-smoke        bench_serve --smoke closed/open-loop sweep; the
 #                      emitted JSON must pass the --serve schema check
 #                      (docs/SERVING.md)
@@ -126,20 +126,17 @@ pass_ctest_threads_4() {
 
 pass_obs_smoke() {
   trace_json="$build_dir/obs_smoke_trace.json"
-  metrics_jsonl="$build_dir/obs_smoke_metrics.jsonl"
   telemetry_jsonl="$build_dir/obs_smoke_telemetry.jsonl"
-  rm -f "$trace_json" "$metrics_jsonl" "$telemetry_jsonl"
-  MOCOGRAD_TRACE="$trace_json" MOCOGRAD_METRICS="$metrics_jsonl" \
-    MOCOGRAD_TELEMETRY="$telemetry_jsonl" \
+  rm -f "$trace_json" "$telemetry_jsonl"
+  MOCOGRAD_TRACE="$trace_json" MOCOGRAD_TELEMETRY="$telemetry_jsonl" \
     "$build_dir/examples/example_quickstart" > /dev/null || return 1
   test -s "$trace_json" ||
     { echo "no trace written to $trace_json"; return 1; }
-  test -s "$metrics_jsonl" ||
-    { echo "no metrics written to $metrics_jsonl"; return 1; }
   test -s "$telemetry_jsonl" ||
     { echo "no telemetry written to $telemetry_jsonl"; return 1; }
+  grep -q '"gemm.calls"' "$telemetry_jsonl" ||
+    { echo "no gemm.calls counter in $telemetry_jsonl"; return 1; }
   "$build_dir/tools/validate_json" "$trace_json" &&
-    "$build_dir/tools/validate_json" --jsonl "$metrics_jsonl" &&
     "$build_dir/tools/validate_json" --telemetry "$telemetry_jsonl"
 }
 

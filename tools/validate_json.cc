@@ -1,14 +1,15 @@
-// Validates that stdin (or each file argument) is well-formed JSON — or,
-// with --jsonl, that every non-empty line is. With --telemetry, each line
-// is additionally checked against the conflict-telemetry schema emitted by
-// obs::TelemetrySink (docs/OBSERVABILITY.md "Conflict telemetry"): typed
-// records, required keys, finite floats, and per-run monotone step ids.
+// Validates that stdin (or each file argument) is well-formed JSON. With
+// --telemetry, each non-empty line is parsed and checked against the
+// telemetry schema emitted by obs::TelemetrySink (docs/OBSERVABILITY.md
+// "Conflict telemetry"): typed records, required keys, finite floats,
+// integer counter deltas, ordered kernel percentiles, and per-run monotone
+// step ids.
 // With --serve, each file is checked against the serving-benchmark schema
 // written by bench/bench_serve.cc (docs/SERVING.md): non-empty results,
 // positive finite QPS, ordered finite latency percentiles.
 // Exit 0 iff everything validates; the first error on each file is
 // reported. Used by run_tests.sh and the mg_report CI smoke to check the
-// Chrome-trace / metrics / telemetry files the observability layer emits.
+// Chrome-trace / telemetry files the observability layer emits.
 
 #include <cmath>
 #include <cstdio>
@@ -162,6 +163,33 @@ Status CheckStepRecord(const JsonValue& rec) {
           v.number_value < 0) {
         return Bad("\"phase." + key +
                    "\" must be a finite non-negative number of seconds");
+      }
+    }
+  }
+
+  // Metrics-registry keys: counter deltas since the sink's previous record,
+  // and cumulative per-histogram summaries.
+  const JsonValue* counters = rec.Find("counters");
+  if (counters != nullptr) {
+    if (!counters->is_object()) return Bad("\"counters\" must be an object");
+    for (const auto& [key, v] : counters->members) {
+      if (!v.is_number() || !IsInt(v.number_value)) {
+        return Bad("\"counters." + key + "\" must be a finite integer");
+      }
+    }
+  }
+  const JsonValue* kernels = rec.Find("kernels");
+  if (kernels != nullptr) {
+    if (!kernels->is_object()) return Bad("\"kernels\" must be an object");
+    constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+    for (const auto& [key, h] : kernels->members) {
+      const double count = h.NumberOr("count", kNan);
+      const double p50 = h.NumberOr("p50", kNan);
+      const double p99 = h.NumberOr("p99", kNan);
+      if (!IsInt(count) || count < 1 || !std::isfinite(p99) ||
+          !(0 <= p50 && p50 <= p99)) {
+        return Bad("\"kernels." + key +
+                   "\" needs an integer count >= 1 and finite 0 <= p50 <= p99");
       }
     }
   }
@@ -348,7 +376,7 @@ Status CheckTelemetryLine(const std::string& line, TelemetryState* state) {
 
 // --- Driver ----------------------------------------------------------------
 
-enum class Mode { kJson, kJsonl, kTelemetry, kServe };
+enum class Mode { kJson, kTelemetry, kServe };
 
 bool Validate(const std::string& name, const std::string& text, Mode mode) {
   if (mode == Mode::kJson || mode == Mode::kServe) {
@@ -370,9 +398,7 @@ bool Validate(const std::string& name, const std::string& text, Mode mode) {
     const std::string line = text.substr(pos, nl - pos);
     pos = nl + 1;
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    Status s = mode == Mode::kTelemetry
-                   ? CheckTelemetryLine(line, &state)
-                   : mocograd::obs::ValidateJson(line);
+    Status s = CheckTelemetryLine(line, &state);
     if (!s.ok()) {
       std::fprintf(stderr, "%s:%d: %s\n", name.c_str(), line_no,
                    s.ToString().c_str());
@@ -388,15 +414,13 @@ int main(int argc, char** argv) {
   Mode mode = Mode::kJson;
   std::vector<const char*> paths;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jsonl") == 0) {
-      mode = Mode::kJsonl;
-    } else if (std::strcmp(argv[i], "--telemetry") == 0) {
+    if (std::strcmp(argv[i], "--telemetry") == 0) {
       mode = Mode::kTelemetry;
     } else if (std::strcmp(argv[i], "--serve") == 0) {
       mode = Mode::kServe;
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf(
-          "usage: validate_json [--jsonl|--telemetry|--serve] [file...]\n"
+          "usage: validate_json [--telemetry|--serve] [file...]\n"
           "Checks files (or stdin) for JSON well-formedness; --telemetry\n"
           "additionally enforces the conflict-telemetry JSONL schema;\n"
           "--serve enforces the BENCH_serve.json schema.\n");
