@@ -78,26 +78,75 @@ std::vector<Node*> TopoPostOrder(Node* root) {
   return order;
 }
 
-// Accumulates `g` into the node's destination: the persistent grad buffer
-// (sink == nullptr; every reached node, so users can inspect interior
-// grads), or the caller's sink (leaves only; the tape stays untouched so
-// concurrent sweeps never write shared state). Both destinations start from
-// zeros and add in sweep order, so the stored bits match either way.
-void AccumulateDestination(Node* n, const Tensor& g,
-                           Variable::GradSink* sink) {
-  if (sink == nullptr) {
+// Where one sweep's gradients land, resolved on the calling thread before
+// any node runs, so workers only read it. Persistent mode (Backward) feeds
+// every reached node's own grad buffer, interior nodes included, so users
+// can inspect them. Leaf mode (BackwardInto) feeds each reached leaf's
+// span and never writes the tape, so concurrent sweeps over one tape share
+// no mutable state.
+struct Destinations {
+  bool persistent = false;
+  // Leaf mode: one span per reached node, indexed by post-order position;
+  // nullptr for interior nodes.
+  std::vector<float*> spans;
+};
+
+// The op that consumes `leaf` in the sweep, for diagnostics.
+const char* ConsumerOp(const std::vector<Node*>& order, const Node* leaf) {
+  for (const Node* n : order) {
+    for (const auto& p : n->parents) {
+      if (p.get() == leaf) return n->op;
+    }
+  }
+  return "(root)";
+}
+
+// Leaf mode over caller-owned spans: every reached leaf must have one, so
+// a gradient is never dropped silently.
+Destinations ResolveDestinations(const std::vector<Node*>& order,
+                                 const Variable::LeafGrads& leaves) {
+  Destinations d;
+  d.spans.assign(order.size(), nullptr);
+  for (size_t i = 0; i < order.size(); ++i) {
+    const Node* n = order[i];
+    if (n->grad_fn) continue;
+    // Lookup only. mg_analyze:allow(nondeterminism)
+    auto it = leaves.find(n);
+    MG_CHECK(it != leaves.end(), "BackwardInto: a leaf of shape ",
+             n->value.shape().ToString(), " consumed by op ",
+             ConsumerOp(order, n), " has no LeafGrads entry");
+    d.spans[i] = it->second;
+  }
+  return d;
+}
+
+// The GradSink adapter: each reached leaf's span is its sink tensor, zero-
+// allocated here on the calling thread when the sink has none yet (so a
+// reused sink keeps accumulating). `sink == nullptr` selects persistent
+// mode.
+Destinations ResolveDestinations(const std::vector<Node*>& order,
+                                 Variable::GradSink* sink) {
+  if (sink == nullptr) return Destinations{/*persistent=*/true, {}};
+  Variable::LeafGrads leaves;  // mg_analyze:allow(nondeterminism)
+  for (Node* n : order) {
+    if (n->grad_fn) continue;
+    Tensor& slot = (*sink)[n];  // mg_analyze:allow(nondeterminism)
+    if (!slot.defined()) slot = Tensor::Zeros(n->value.shape());
+    leaves.emplace(n, slot.data());
+  }
+  return ResolveDestinations(order, leaves);
+}
+
+// Feeds node `n` (post-order position `pos`) its merged gradient `g`. A
+// zeroed span plus AddInPlace leaves the same bits as Tensor::Zeros plus
+// AddInPlace, so both modes store identical values.
+void AccumulateDestination(const Destinations& d, size_t pos, Node* n,
+                           const Tensor& g) {
+  if (d.persistent) {
     if (!n->grad.defined()) n->grad = Tensor::Zeros(n->value.shape());
     tops::AddInPlace(n->grad, g);
-  } else if (!n->grad_fn) {
-    // The entry exists: the sequential engine inserts it here, the
-    // ready-queue engine pre-inserts every leaf entry on the calling thread
-    // (so workers never mutate the map structure). Lookup-only access.
-    // mg_analyze:allow(nondeterminism)
-    auto it = sink->find(n);
-    MG_CHECK(it != sink->end(), "sink entry missing for leaf ", n->op);
-    Tensor& slot = it->second;
-    if (!slot.defined()) slot = Tensor::Zeros(n->value.shape());
-    tops::AddInPlace(slot, g);
+  } else if (float* span = d.spans[pos]) {
+    tops::AddInPlace(span, g.data(), g.NumElements());
   }
 }
 
@@ -113,9 +162,9 @@ void CheckParentGrad(const Node* n, const Node* p, const Tensor& pg) {
 // Sequential engine: linear tape replay (the original BackwardImpl).
 // ---------------------------------------------------------------------------
 
-void RunSequential(Node* root, const Tensor& seed,
-                   Variable::GradSink* sink) {
-  const std::vector<Node*> order = TopoPostOrder(root);
+void RunSequential(const std::vector<Node*>& order, const Tensor& seed,
+                   const Destinations& dest) {
+  Node* root = order.back();
 
   // Per-sweep upstream accumulators, separate from node->grad so that
   // repeated Backward calls on different roots (per-task losses) compose via
@@ -138,20 +187,13 @@ void RunSequential(Node* root, const Tensor& seed,
   upstream[root] = Acc{seed.Clone(), /*owned=*/true};
 
   // `order` is post-order: parents before users; traverse in reverse.
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    Node* n = *it;
+  for (size_t pos = order.size(); pos-- > 0;) {
+    Node* n = order[pos];
     auto found = upstream.find(n);
     if (found == upstream.end()) continue;  // unreachable from the seed
     Tensor& g = found->second.grad;
 
-    if (sink == nullptr || !n->grad_fn) {
-      if (sink != nullptr) {
-        // Match the ready-queue engine's pre-inserted entries (lookup-only
-        // from AccumulateDestination). mg_analyze:allow(nondeterminism)
-        (void)(*sink)[n];
-      }
-      AccumulateDestination(n, g, sink);
-    }
+    AccumulateDestination(dest, pos, n, g);
 
     if (!n->grad_fn) continue;
     std::vector<Tensor> parent_grads = n->grad_fn(g);
@@ -210,7 +252,7 @@ struct NodeTask {
 struct GraphTask {
   std::vector<NodeTask> tasks;  // index = reverse-topological position
   std::vector<Tensor> slots;    // fixed per-edge accumulation slots
-  Variable::GradSink* sink = nullptr;
+  Destinations dest;            // indexed by post-order position
   // Pinned on the calling thread at build time. Workers must never call
   // ThreadPool::Global() — it locks the global pool mutex, which
   // SetGlobalNumThreads holds while joining workers, so a straggling helper
@@ -231,10 +273,10 @@ struct GraphTask {
   obs::Histogram* depth_hist = nullptr;
 };
 
-std::shared_ptr<GraphTask> BuildGraphTask(Node* root, const Tensor& seed,
-                                          Variable::GradSink* sink) {
+std::shared_ptr<GraphTask> BuildGraphTask(const std::vector<Node*>& order,
+                                          const Tensor& seed,
+                                          Destinations dest) {
   auto gt = std::make_shared<GraphTask>();
-  const std::vector<Node*> order = TopoPostOrder(root);
   const size_t n = order.size();
   gt->tasks.resize(n);
   // Node -> reverse-topological index. Keyed lookup only during the build;
@@ -289,19 +331,9 @@ std::shared_ptr<GraphTask> BuildGraphTask(Node* root, const Tensor& seed,
     gt->remaining = static_cast<int64_t>(n);
     gt->ready.push_back(0);
   }
-  gt->sink = sink;
+  gt->dest = std::move(dest);
   gt->pool = &ThreadPool::Global();
   gt->max_helpers = gt->pool->num_threads() - 1;
-
-  // Pre-insert every leaf's sink entry on the calling thread: workers then
-  // only find() existing keys and mutate their (distinct) mapped tensors,
-  // never the map structure itself. Insertion order cannot matter — the map
-  // is lookup-only from here on. mg_analyze:allow(nondeterminism)
-  if (sink != nullptr) {
-    for (const NodeTask& t : gt->tasks) {
-      if (!t.node->grad_fn) (void)(*sink)[t.node];
-    }
-  }
 
   if (obs::MetricsEnabled()) {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
@@ -359,7 +391,9 @@ void ProcessNode(const std::shared_ptr<GraphTask>& gt, int32_t ti) {
       }
     }
 
-    AccumulateDestination(nd, merged, g_task.sink);
+    // tasks[ti] is order[n - 1 - ti] (tasks[0] is the root).
+    AccumulateDestination(g_task.dest, g_task.tasks.size() - 1 - ti, nd,
+                          merged);
 
     if (nd->grad_fn) {
       std::vector<Tensor> parent_grads = nd->grad_fn(merged);
@@ -440,11 +474,12 @@ void HelperLoop(const std::shared_ptr<GraphTask>& gt) {
   }
 }
 
-void RunReadyQueue(Node* root, const Tensor& seed,
-                   Variable::GradSink* sink) {
+void RunReadyQueue(const std::vector<Node*>& order, const Tensor& seed,
+                   Destinations dest) {
   MG_TRACE_SCOPE("autograd.ready_queue");
   MG_METRIC_COUNT("autograd.sweeps.ready", 1);
-  std::shared_ptr<GraphTask> gt = BuildGraphTask(root, seed, sink);
+  std::shared_ptr<GraphTask> gt =
+      BuildGraphTask(order, seed, std::move(dest));
 
   // The caller is a full participant: it pops ready nodes like a helper but,
   // unlike helpers, blocks when the queue is empty while other threads still
@@ -470,7 +505,7 @@ void RunReadyQueue(Node* root, const Tensor& seed,
 
   // Straggler helpers only touch the (shared_ptr-kept) GraphTask after this
   // point — every node completed before remaining hit zero, so the caller's
-  // sink and the tape are fully written.
+  // destinations are fully written.
   std::exception_ptr error;
   {
     MutexLock lk(&gt->mu);
@@ -482,12 +517,20 @@ void RunReadyQueue(Node* root, const Tensor& seed,
 }  // namespace
 
 void RunBackward(Node* root, const Tensor& seed, Variable::GradSink* sink) {
-  RunReadyQueue(root, seed, sink);
+  const std::vector<Node*> order = TopoPostOrder(root);
+  RunReadyQueue(order, seed, ResolveDestinations(order, sink));
+}
+
+void RunBackward(Node* root, const Tensor& seed,
+                 const Variable::LeafGrads& leaves) {
+  const std::vector<Node*> order = TopoPostOrder(root);
+  RunReadyQueue(order, seed, ResolveDestinations(order, leaves));
 }
 
 void RunBackwardSequentialForTesting(Node* root, const Tensor& seed,
                                      Variable::GradSink* sink) {
-  RunSequential(root, seed, sink);
+  const std::vector<Node*> order = TopoPostOrder(root);
+  RunSequential(order, seed, ResolveDestinations(order, sink));
 }
 
 }  // namespace autograd

@@ -116,12 +116,7 @@ Variable Sigmoid(const Variable& a) {
 Variable Relu(const Variable& a) {
   Tensor av = a.value();
   return Variable::MakeOp("Relu", t::Relu(av), {a}, [av](const Tensor& g) {
-    Tensor mask(av.shape());
-    const float* p = av.data();
-    float* m = mask.data();
-    const int64_t n = av.NumElements();
-    for (int64_t i = 0; i < n; ++i) m[i] = p[i] > 0.0f ? 1.0f : 0.0f;
-    return std::vector<Tensor>{t::Mul(g, mask)};
+    return std::vector<Tensor>{t::ReluBackward(g, av)};
   });
 }
 
@@ -157,22 +152,25 @@ Variable Clamp(const Variable& a, float lo, float hi) {
   Tensor av = a.value();
   return Variable::MakeOp(
       "Clamp", t::Clamp(av, lo, hi), {a}, [av, lo, hi](const Tensor& g) {
-        Tensor mask(av.shape());
-        const float* p = av.data();
-        float* m = mask.data();
-        for (int64_t i = 0; i < av.NumElements(); ++i) {
-          m[i] = (p[i] > lo && p[i] < hi) ? 1.0f : 0.0f;
-        }
-        return std::vector<Tensor>{t::Mul(g, mask)};
+        return std::vector<Tensor>{t::ClampBackward(g, av, lo, hi)};
       });
 }
 
 Variable MatMul(const Variable& a, const Variable& b) {
   Tensor av = a.value(), bv = b.value();
+  Tensor out = t::MatMul(av, bv);
+  // Only the gradients some operand needs: a sweep never routes one to a
+  // parent that does not require grad, so its GEMM (and the captured
+  // operand only that GEMM reads) is skipped.
+  const bool need_a = a.requires_grad(), need_b = b.requires_grad();
+  if (!need_a) bv = Tensor();  // bv feeds only da
+  if (!need_b) av = Tensor();  // av feeds only db
   return Variable::MakeOp(
-      "MatMul", t::MatMul(av, bv), {a, b}, [av, bv](const Tensor& g) {
-        Tensor da = t::MatMul(g, bv, /*trans_a=*/false, /*trans_b=*/true);
-        Tensor db = t::MatMul(av, g, /*trans_a=*/true, /*trans_b=*/false);
+      "MatMul", std::move(out), {a, b},
+      [av, bv, need_a, need_b](const Tensor& g) {
+        Tensor da, db;
+        if (need_a) da = t::MatMul(g, bv, /*trans_a=*/false, /*trans_b=*/true);
+        if (need_b) db = t::MatMul(av, g, /*trans_a=*/true, /*trans_b=*/false);
         return std::vector<Tensor>{std::move(da), std::move(db)};
       });
 }

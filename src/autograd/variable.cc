@@ -78,8 +78,17 @@ void Variable::Backward() const {
   Backward(Tensor::Ones(value().shape()));
 }
 
+// The sweeps themselves live in autograd/executor.cc: the dependency-
+// counted ready-queue engine, bit-identical to a linear tape replay — see
+// docs/AUTOGRAD.md.
+
 void Variable::Backward(const Tensor& seed) const {
-  BackwardImpl(seed, /*sink=*/nullptr);
+  if (NeedsSweep(seed)) RunBackward(node_.get(), seed, /*sink=*/nullptr);
+}
+
+void Variable::BackwardInto(const LeafGrads& leaves) const {
+  const Tensor seed = Tensor::Ones(value().shape());
+  if (NeedsSweep(seed)) RunBackward(node_.get(), seed, leaves);
 }
 
 void Variable::BackwardInto(GradSink* sink) const {
@@ -88,18 +97,14 @@ void Variable::BackwardInto(GradSink* sink) const {
 
 void Variable::BackwardInto(const Tensor& seed, GradSink* sink) const {
   MG_CHECK(sink != nullptr, "BackwardInto requires a sink");
-  BackwardImpl(seed, sink);
+  if (NeedsSweep(seed)) RunBackward(node_.get(), seed, sink);
 }
 
-void Variable::BackwardImpl(const Tensor& seed, GradSink* sink) const {
+bool Variable::NeedsSweep(const Tensor& seed) const {
   MG_CHECK(defined(), "Backward on undefined Variable");
   MG_CHECK(seed.shape() == value().shape(), "Backward seed shape ",
            seed.shape().ToString(), " vs value ", value().shape().ToString());
-  if (!node_->requires_grad) return;
-  // The sweep itself lives in autograd/executor.cc: the dependency-counted
-  // ready-queue engine, bit-identical to a linear tape replay — see
-  // docs/AUTOGRAD.md.
-  RunBackward(node_.get(), seed, sink);
+  return node_->requires_grad;
 }
 
 NoGradScope::NoGradScope(std::vector<Variable*> leaves)

@@ -73,23 +73,31 @@ class Variable {
   /// Reverse-mode sweep with an explicit seed of the same shape.
   void Backward(const Tensor& seed) const;
 
-  /// Gradient destination for BackwardInto: one accumulator per reached
-  /// leaf, keyed by tape node. Lookup-only — consumers find() by node and
-  /// never iterate, so the hash order cannot leak into results.
-  /// mg_analyze:allow(nondeterminism)
+  /// Leaf destinations for BackwardInto: each leaf's gradient span of
+  /// NumElements() floats, keyed by tape node and zeroed by the caller.
+  /// Lookup-only — the sweep find()s by node and never iterates, so the
+  /// hash order cannot leak into results. mg_analyze:allow(nondeterminism)
+  using LeafGrads = std::unordered_map<const Node*, float*>;
+
+  /// Reverse-mode sweep like Backward(), but each reached leaf's merged
+  /// gradient is added once into its `leaves` span instead of the node's
+  /// grad buffer, and the tape is never written. A reached leaf without an
+  /// entry fails the sweep (MG_CHECK naming its consuming op). Because
+  /// sweeps only read the tape, several BackwardInto calls over the *same*
+  /// tape may run concurrently with disjoint spans — the trainer's parallel
+  /// per-task backward. A span ends up bit-identical to what Backward()
+  /// leaves in a zeroed grad buffer (autograd/executor.h,
+  /// docs/AUTOGRAD.md).
+  void BackwardInto(const LeafGrads& leaves) const;
+
+  /// Owning variant: one accumulator tensor per reached leaf, keyed by tape
+  /// node. Lookup-only like LeafGrads. mg_analyze:allow(nondeterminism)
   using GradSink = std::unordered_map<const Node*, Tensor>;
 
-  /// Reverse-mode sweep like Backward(), but leaf gradients accumulate into
-  /// `*sink` (keyed by node) instead of the nodes' persistent grad buffers;
-  /// the tape itself is never written. Because sweeps only read the tape,
-  /// several BackwardInto calls over the *same* tape may run concurrently
-  /// from different threads with distinct sinks — this is what the trainer's
-  /// parallel per-task backward builds on. A sink's contents are
-  /// bit-identical to what Backward() would have left in the leaves' grad
-  /// buffers (from a zeroed state): the ready-queue engine runs independent
-  /// tape branches concurrently but merges gradient contributions through
-  /// fixed per-edge slots in the sequential replay's accumulation order
-  /// (autograd/executor.h, docs/AUTOGRAD.md).
+  /// BackwardInto with the spans taken from `*sink`: a reached leaf without
+  /// an entry gets a zeroed tensor (allocated on the calling thread before
+  /// the sweep starts), an existing entry keeps accumulating. Same engine
+  /// and destination code as BackwardInto(LeafGrads), same bits.
   void BackwardInto(GradSink* sink) const;
   void BackwardInto(const Tensor& seed, GradSink* sink) const;
 
@@ -97,10 +105,10 @@ class Variable {
   const std::shared_ptr<Node>& node() const { return node_; }
 
  private:
-  /// Shared entry behind Backward/BackwardInto; sink == nullptr selects the
-  /// persistent node->grad destination. Runs the ready-queue engine
-  /// (autograd/executor.h).
-  void BackwardImpl(const Tensor& seed, GradSink* sink) const;
+  /// Shared precondition of Backward/BackwardInto: a defined node and a
+  /// seed of its shape. False when the node needs no gradient, so there is
+  /// nothing to sweep.
+  bool NeedsSweep(const Tensor& seed) const;
 
   std::shared_ptr<Node> node_;
 };

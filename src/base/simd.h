@@ -31,6 +31,8 @@
 //    second operand wins on unordered comparisons — exactly x86
 //    MAXPS/MINPS; the NEON backend uses compare+select (not vmaxq, which
 //    differs on NaN).
+//  - SelectGt(a, b, x, y) = (a > b) ? x : y per lane, an ordered compare
+//    (false when either of a, b is NaN) followed by a bit select.
 //  - Abs/Neg clear/flip the sign bit only (NaN payloads preserved).
 //  - LoadBf16 widens 8 bf16 values to f32 by shifting into the high half —
 //    exact on every backend (base/bf16.h).
@@ -78,6 +80,9 @@ inline float Min(float a, float b) { return a < b ? a : b; }
 inline float Abs(float a) { return std::fabs(a); }
 inline float Sqrt(float a) { return std::sqrt(a); }
 inline float Neg(float a) { return -a; }
+inline float SelectGt(float a, float b, float x, float y) {
+  return a > b ? x : y;
+}
 
 // ---------------------------------------------------------------------------
 // Scalar fallback backend: 8 explicit lanes, operated on in lane order.
@@ -133,6 +138,13 @@ inline F32x8Scalar Max(F32x8Scalar a, F32x8Scalar b) {
 inline F32x8Scalar Min(F32x8Scalar a, F32x8Scalar b) {
   for (int i = 0; i < 8; ++i) b.lane[i] = Min(a.lane[i], b.lane[i]);
   return b;
+}
+inline F32x8Scalar SelectGt(F32x8Scalar a, F32x8Scalar b, F32x8Scalar x,
+                            F32x8Scalar y) {
+  for (int i = 0; i < 8; ++i) {
+    y.lane[i] = SelectGt(a.lane[i], b.lane[i], x.lane[i], y.lane[i]);
+  }
+  return y;
 }
 inline F32x8Scalar Abs(F32x8Scalar a) {
   for (int i = 0; i < 8; ++i) a.lane[i] = std::fabs(a.lane[i]);
@@ -246,6 +258,12 @@ inline F32x8Sse Max(F32x8Sse a, F32x8Sse b) {
 inline F32x8Sse Min(F32x8Sse a, F32x8Sse b) {
   return {_mm_min_ps(a.lo, b.lo), _mm_min_ps(a.hi, b.hi)};
 }
+inline F32x8Sse SelectGt(F32x8Sse a, F32x8Sse b, F32x8Sse x, F32x8Sse y) {
+  const __m128 mlo = _mm_cmpgt_ps(a.lo, b.lo);
+  const __m128 mhi = _mm_cmpgt_ps(a.hi, b.hi);
+  return {_mm_or_ps(_mm_and_ps(mlo, x.lo), _mm_andnot_ps(mlo, y.lo)),
+          _mm_or_ps(_mm_and_ps(mhi, x.hi), _mm_andnot_ps(mhi, y.hi))};
+}
 inline F32x8Sse Abs(F32x8Sse a) {
   const __m128 mask = _mm_castsi128_ps(_mm_set1_epi32(0x7FFFFFFF));
   return {_mm_and_ps(a.lo, mask), _mm_and_ps(a.hi, mask)};
@@ -329,6 +347,10 @@ inline F32x8Avx2 MulAdd(F32x8Avx2 a, F32x8Avx2 b, F32x8Avx2 c) {
 // MAXPS/MINPS: second operand wins on unordered — matches the scalar helpers.
 inline F32x8Avx2 Max(F32x8Avx2 a, F32x8Avx2 b) { return {_mm256_max_ps(a.v, b.v)}; }
 inline F32x8Avx2 Min(F32x8Avx2 a, F32x8Avx2 b) { return {_mm256_min_ps(a.v, b.v)}; }
+inline F32x8Avx2 SelectGt(F32x8Avx2 a, F32x8Avx2 b, F32x8Avx2 x,
+                          F32x8Avx2 y) {
+  return {_mm256_blendv_ps(y.v, x.v, _mm256_cmp_ps(a.v, b.v, _CMP_GT_OQ))};
+}
 inline F32x8Avx2 Abs(F32x8Avx2 a) {
   const __m256 mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
   return {_mm256_and_ps(a.v, mask)};
@@ -384,10 +406,13 @@ struct F32x16 {
   static F32x16 Broadcast(float x) { return {_mm512_set1_ps(x)}; }
   static F32x16 Load(const float* p) { return {_mm512_loadu_ps(p)}; }
   static F32x16 LoadBf16(const uint16_t* p) {
+    // The all-lanes zero-masking forms: same bits as the unmasked
+    // intrinsics, whose GCC definitions start from an undefined vector.
+    constexpr __mmask16 kAll = 0xFFFF;
     const __m256i v16 =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-    return {_mm512_castsi512_ps(
-        _mm512_slli_epi32(_mm512_cvtepu16_epi32(v16), 16))};
+    return {_mm512_castsi512_ps(_mm512_maskz_slli_epi32(
+        kAll, _mm512_maskz_cvtepu16_epi32(kAll, v16), 16))};
   }
   void Store(float* p) const { _mm512_storeu_ps(p, v); }
 };
@@ -450,6 +475,11 @@ inline F32x8Neon Max(F32x8Neon a, F32x8Neon b) {
 inline F32x8Neon Min(F32x8Neon a, F32x8Neon b) {
   return {vbslq_f32(vcltq_f32(a.lo, b.lo), a.lo, b.lo),
           vbslq_f32(vcltq_f32(a.hi, b.hi), a.hi, b.hi)};
+}
+inline F32x8Neon SelectGt(F32x8Neon a, F32x8Neon b, F32x8Neon x,
+                          F32x8Neon y) {
+  return {vbslq_f32(vcgtq_f32(a.lo, b.lo), x.lo, y.lo),
+          vbslq_f32(vcgtq_f32(a.hi, b.hi), x.hi, y.hi)};
 }
 inline F32x8Neon Abs(F32x8Neon a) { return {vabsq_f32(a.lo), vabsq_f32(a.hi)}; }
 inline F32x8Neon Neg(F32x8Neon a) { return {vnegq_f32(a.lo), vnegq_f32(a.hi)}; }

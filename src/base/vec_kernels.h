@@ -57,6 +57,10 @@ struct VecKernels {
   void (*ew_abs)(int64_t n, const float* a, float* o);
   void (*ew_relu)(int64_t n, const float* a, float* o);
   void (*ew_clamp)(int64_t n, const float* a, float lo, float hi, float* o);
+  // Activation backward: o[i] = g[i] * (derivative mask of x[i]).
+  void (*ew_relu_grad)(int64_t n, const float* g, const float* x, float* o);
+  void (*ew_clamp_grad)(int64_t n, const float* g, const float* x, float lo,
+                        float hi, float* o);
 
   // Optimizer per-tensor update spans (optim/optimizer.cc documents the
   // exact update arithmetic; weight decay folds in via fused multiply-add).

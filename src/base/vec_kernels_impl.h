@@ -318,6 +318,44 @@ void EwClampT(int64_t n, const float* a, float lo, float hi, float* o) {
   }
   for (; i < n; ++i) o[i] = simd::Min(simd::Max(a[i], lo), hi);
 }
+// Activation backward: g times the 0/1 derivative mask as a real multiply,
+// so each element is bitwise tops::Mul(g, mask) — negative g gives -0, and
+// ±inf or NaN g gives NaN where the mask is 0.
+template <typename B>
+void EwReluGradT(int64_t n, const float* g, const float* x, float* o) {
+  using F32 = typename B::F32;
+  const F32 vz = F32::Zero();
+  const F32 v1 = F32::Broadcast(1.0f);
+  int64_t i = 0;
+  // mask = (x > 0) ? 1 : 0 — NaN x gives 0.
+  for (; i + 8 <= n; i += 8) {
+    (F32::Load(g + i) * simd::SelectGt(F32::Load(x + i), vz, v1, vz))
+        .Store(o + i);
+  }
+  for (; i < n; ++i) o[i] = g[i] * simd::SelectGt(x[i], 0.0f, 1.0f, 0.0f);
+}
+template <typename B>
+void EwClampGradT(int64_t n, const float* g, const float* x, float lo,
+                  float hi, float* o) {
+  using F32 = typename B::F32;
+  const F32 vz = F32::Zero();
+  const F32 v1 = F32::Broadcast(1.0f);
+  const F32 vlo = F32::Broadcast(lo);
+  const F32 vhi = F32::Broadcast(hi);
+  int64_t i = 0;
+  // mask = (x > lo && hi > x) ? 1 : 0 — NaN x gives 0.
+  for (; i + 8 <= n; i += 8) {
+    const F32 vx = F32::Load(x + i);
+    const F32 mask =
+        simd::SelectGt(vx, vlo, simd::SelectGt(vhi, vx, v1, vz), vz);
+    (F32::Load(g + i) * mask).Store(o + i);
+  }
+  for (; i < n; ++i) {
+    const float mask = simd::SelectGt(
+        x[i], lo, simd::SelectGt(hi, x[i], 1.0f, 0.0f), 0.0f);
+    o[i] = g[i] * mask;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Optimizer per-tensor update spans (optim/optimizer.cc). Weight decay
@@ -443,6 +481,8 @@ VecKernels MakeVecKernels() {
   k.ew_abs = &EwAbsT<B>;
   k.ew_relu = &EwReluT<B>;
   k.ew_clamp = &EwClampT<B>;
+  k.ew_relu_grad = &EwReluGradT<B>;
+  k.ew_clamp_grad = &EwClampGradT<B>;
   k.sgd_momentum = &SgdMomentumT<B>;
   k.sgd_plain = &SgdPlainT<B>;
   k.adam = &AdamT<B>;

@@ -94,6 +94,13 @@ void EwRelu(int64_t n, const float* a, float* o) {
 void EwClamp(int64_t n, const float* a, float lo, float hi, float* o) {
   ActiveVecKernels().ew_clamp(n, a, lo, hi, o);
 }
+void EwReluGrad(int64_t n, const float* g, const float* x, float* o) {
+  ActiveVecKernels().ew_relu_grad(n, g, x, o);
+}
+void EwClampGrad(int64_t n, const float* g, const float* x, float lo,
+                 float hi, float* o) {
+  ActiveVecKernels().ew_clamp_grad(n, g, x, lo, hi, o);
+}
 
 void SgdMomentum(int64_t n, float lr, float momentum, float wd,
                  const float* g, float* v, float* x) {

@@ -81,6 +81,13 @@ void EwAbs(int64_t n, const float* a, float* o);
 void EwRelu(int64_t n, const float* a, float* o);
 /// o[i] = Min(Max(a[i], lo), hi) — NaN inputs clamp to lo.
 void EwClamp(int64_t n, const float* a, float lo, float hi, float* o);
+/// o[i] = g[i] * (x[i] > 0 ? 1 : 0) — Relu's backward, bitwise g times the
+/// 0/1 mask (-0 from negative g, NaN from ±inf or NaN g where it is 0).
+void EwReluGrad(int64_t n, const float* g, const float* x, float* o);
+/// o[i] = g[i] * (lo < x[i] < hi ? 1 : 0) — Clamp's backward, same
+/// multiply as EwReluGrad.
+void EwClampGrad(int64_t n, const float* g, const float* x, float lo,
+                 float hi, float* o);
 
 // Optimizer per-tensor update spans (optim/optimizer.cc). Weight decay
 // folds into the gradient via fused multiply-add, matching the lane op.

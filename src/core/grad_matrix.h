@@ -2,11 +2,16 @@
 #define MOCOGRAD_CORE_GRAD_MATRIX_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "base/check.h"
 
 namespace mocograd {
+namespace mtl {
+class MtlTrainer;
+}  // namespace mtl
+
 namespace core {
 
 /// Dense K×P matrix holding one flattened shared-parameter gradient per
@@ -15,13 +20,9 @@ namespace core {
 /// a GradientAggregator.
 class GradMatrix {
  public:
+  /// A zero-filled num_tasks × dim matrix.
   GradMatrix(int num_tasks, int64_t dim)
-      : num_tasks_(num_tasks),
-        dim_(dim),
-        data_(static_cast<size_t>(num_tasks) * dim, 0.0f) {
-    MG_CHECK_GT(num_tasks, 0);
-    MG_CHECK_GT(dim, 0);
-  }
+      : GradMatrix(num_tasks, dim, /*zero_fill=*/true) {}
 
   int num_tasks() const { return num_tasks_; }
   int64_t dim() const { return dim_; }
@@ -29,12 +30,12 @@ class GradMatrix {
   float* Row(int k) {
     MG_CHECK_GE(k, 0);
     MG_CHECK_LT(k, num_tasks_);
-    return data_.data() + static_cast<size_t>(k) * dim_;
+    return data_.get() + static_cast<size_t>(k) * dim_;
   }
   const float* Row(int k) const {
     MG_CHECK_GE(k, 0);
     MG_CHECK_LT(k, num_tasks_);
-    return data_.data() + static_cast<size_t>(k) * dim_;
+    return data_.get() + static_cast<size_t>(k) * dim_;
   }
 
   /// Copies `src` (size dim) into row k.
@@ -59,9 +60,22 @@ class GradMatrix {
   std::vector<float> WeightedSumRows(const std::vector<double>& w) const;
 
  private:
+  // The trainer's rows are zeroed by the task that fills each one, in
+  // parallel, so it alone skips the constructor's serial fill.
+  friend class mtl::MtlTrainer;
+
+  GradMatrix(int num_tasks, int64_t dim, bool zero_fill)
+      : num_tasks_(num_tasks), dim_(dim) {
+    MG_CHECK_GT(num_tasks, 0);
+    MG_CHECK_GT(dim, 0);
+    const size_t n = static_cast<size_t>(num_tasks) * dim;
+    data_ = zero_fill ? std::make_unique<float[]>(n)
+                      : std::make_unique_for_overwrite<float[]>(n);
+  }
+
   int num_tasks_;
   int64_t dim_;
-  std::vector<float> data_;
+  std::unique_ptr<float[]> data_;
 };
 
 }  // namespace core

@@ -1,5 +1,6 @@
 #include "mtl/trainer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -50,6 +51,29 @@ MtlTrainer::MtlTrainer(MtlModel* model, core::GradientAggregator* aggregator,
   method_name_ = aggregator_->name();
   MG_CHECK_EQ(static_cast<int>(kinds_.size()), model_->num_tasks(),
               "one TaskKind per task");
+
+  // Step's K concurrent sweeps write shared leaves into their task's
+  // GradMatrix row and task leaves into the parameters' own grad(), and
+  // the write-back then overwrites every gradient. Both need the shared
+  // and per-task sets to partition Parameters(): a parameter in two sets
+  // would be written by two sweeps at once, one in none would keep a stale
+  // gradient.
+  std::vector<const ag::Node*> listed;
+  for (Variable* p : model_->SharedParameters()) {
+    listed.push_back(p->node().get());
+  }
+  for (int t = 0; t < model_->num_tasks(); ++t) {
+    for (Variable* p : model_->TaskParameters(t)) {
+      listed.push_back(p->node().get());
+    }
+  }
+  std::vector<const ag::Node*> all;
+  for (Variable* p : model_->Parameters()) all.push_back(p->node().get());
+  std::sort(listed.begin(), listed.end());
+  std::sort(all.begin(), all.end());
+  MG_CHECK(listed == all, "MtlTrainer: SharedParameters() and the "
+           "TaskParameters(t) must partition Parameters(), each parameter "
+           "in exactly one set");
 }
 
 StepStats MtlTrainer::Step(const std::vector<Batch>& batches) {
@@ -85,68 +109,67 @@ StepStats MtlTrainer::Step(const std::vector<Batch>& batches) {
 
   Stopwatch backward_timer;
 
-  // One backward per task. Each task's sweep only *reads* the shared tape —
-  // leaf gradients are routed into a per-task sink instead of the nodes'
-  // grad buffers — so the K sweeps launch concurrently on the pool, with
-  // each task's flattened gradients written straight into its own GradMatrix
-  // row (a merge that is deterministic by construction: row t belongs to
-  // task t). On the ready-queue engine the sweeps additionally overlap at
-  // tape-node granularity: every sweep feeds its ready nodes to
-  // the shared pool, so workers drain whichever task currently has runnable
-  // branches instead of being pinned one-per-task, and the GEMMs inside each
-  // grad_fn still parallelize underneath (nested ParallelFor). Results are
-  // bit-identical to a serial ZeroGrad+Backward loop for any pool size —
-  // see docs/AUTOGRAD.md.
+  // One backward per task, each writing its leaf gradients straight into
+  // the buffers the step keeps: shared-parameter leaves at their offset in
+  // row t of the GradMatrix, task-t leaves into the parameters' own grad().
+  // The sweeps only *read* the shared tape and write disjoint buffers (the
+  // constructor's partition check), so the K sweeps launch concurrently on
+  // the pool; on the ready-queue engine they additionally overlap at
+  // tape-node granularity, and the GEMMs inside each grad_fn still
+  // parallelize underneath (nested ParallelFor). Every destination starts
+  // from zeros and receives each leaf's merged gradient once, so the
+  // results are bit-identical to a serial ZeroGrad+Backward loop for any
+  // pool size — see docs/AUTOGRAD.md.
   std::vector<Variable*> shared = model_->SharedParameters();
   int64_t shared_dim = 0;
   for (Variable* p : shared) shared_dim += p->NumElements();
-  core::GradMatrix task_grads(k, shared_dim);
-  std::vector<std::vector<Tensor>> task_specific_grads(k);
+  // Rows start unwritten: task t zeroes its own row below, in parallel.
+  core::GradMatrix task_grads(k, shared_dim, /*zero_fill=*/false);
+  std::vector<std::vector<Variable*>> task_params(k);
+  // Lookup-only destination maps, built here on the calling thread; the
+  // sweeps only find() in them. mg_analyze:allow(nondeterminism)
+  std::vector<Variable::LeafGrads> dests(k);
+  for (int t = 0; t < k; ++t) {
+    float* row = task_grads.Row(t);
+    for (Variable* p : shared) {
+      dests[t].emplace(p->node().get(), row);
+      row += p->NumElements();
+    }
+    task_params[t] = model_->TaskParameters(t);
+    for (Variable* p : task_params[t]) {
+      dests[t].emplace(p->node().get(), p->mutable_grad().data());
+    }
+  }
 
   {
     MG_TRACE_SCOPE("trainer.backward");
-    // Per-task backward/flatten split, accumulated per task and summed in
+    // Per-task zero-fill/backward split, accumulated per task and summed in
     // task order below so the reported phase times are independent of how
     // the pool interleaved the sweeps.
     std::vector<double> bwd_seconds(k, 0.0);
-    std::vector<double> flat_seconds(k, 0.0);
-    std::vector<Variable::GradSink> sinks(k);
+    std::vector<double> zero_seconds(k, 0.0);
     ParallelFor(0, k, 1, [&](int64_t t0, int64_t t1) {
       for (int64_t t = t0; t < t1; ++t) {
         MG_TRACE_SCOPE("trainer.task_backward");
         MG_METRIC_TIME_SCOPE("trainer.task_backward.seconds");
         Stopwatch task_timer;
-        Variable::GradSink& sink = sinks[t];
-        losses[t].BackwardInto(&sink);
-        bwd_seconds[t] = task_timer.ElapsedSeconds();
+        std::memset(task_grads.Row(static_cast<int>(t)), 0,
+                    shared_dim * sizeof(float));
+        for (Variable* p : task_params[t]) p->ZeroGrad();
+        zero_seconds[t] = task_timer.ElapsedSeconds();
 
-        MG_TRACE_SCOPE("trainer.task_flatten");
         task_timer.Restart();
-        float* row = task_grads.Row(static_cast<int>(t));
-        int64_t off = 0;
-        for (Variable* p : shared) {
-          const int64_t n = p->NumElements();
-          auto it = sink.find(p->node().get());
-          if (it != sink.end()) {
-            std::memcpy(row + off, it->second.data(), n * sizeof(float));
-          } else {
-            std::memset(row + off, 0, n * sizeof(float));
-          }
-          off += n;
-        }
-        for (Variable* p : model_->TaskParameters(static_cast<int>(t))) {
-          auto it = sink.find(p->node().get());
-          // The sink tensor is freshly allocated per sweep, so sharing its
-          // storage (no Clone) is safe.
-          task_specific_grads[t].push_back(
-              it != sink.end() ? it->second : Tensor::Zeros(p->shape()));
-        }
-        flat_seconds[t] = task_timer.ElapsedSeconds();
+        losses[t].BackwardInto(dests[t]);
+        // Nothing reads this task's tape again: free it here, in parallel,
+        // rather than when Step returns.
+        losses[t] = Variable();
+        preds[t] = Variable();
+        bwd_seconds[t] = task_timer.ElapsedSeconds();
       }
     });
     for (int t = 0; t < k; ++t) {
       stats.phase.backward += bwd_seconds[t];
-      stats.phase.flatten += flat_seconds[t];
+      stats.phase.flatten += zero_seconds[t];
     }
   }
 
@@ -232,23 +255,20 @@ StepStats MtlTrainer::Step(const std::vector<Batch>& batches) {
   {
     MG_TRACE_SCOPE("trainer.write_back");
     phase_timer.Restart();
-    model_->ZeroGrad();
-    {
-      int64_t off = 0;
-      for (Variable* p : shared) {
-        const int64_t n = p->NumElements();
-        std::memcpy(p->mutable_grad().data(), agg.shared_grad.data() + off,
-                    n * sizeof(float));
-        off += n;
-      }
+    // Every parameter's gradient is overwritten here (the constructor's
+    // partition check), so no ZeroGrad pass is needed: shared gradients
+    // take the aggregate, task gradients already hold their own sweep's
+    // result and are scaled in place by the task weight.
+    int64_t off = 0;
+    for (Variable* p : shared) {
+      const int64_t n = p->NumElements();
+      std::memcpy(p->mutable_grad().data(), agg.shared_grad.data() + off,
+                  n * sizeof(float));
+      off += n;
     }
     for (int t = 0; t < k; ++t) {
-      auto params = model_->TaskParameters(t);
-      MG_CHECK_EQ(params.size(), task_specific_grads[t].size());
-      for (size_t i = 0; i < params.size(); ++i) {
-        Tensor& g = params[i]->mutable_grad();
-        g.CopyFrom(task_specific_grads[t][i]);
-        tops::ScaleInPlace(g, agg.task_weights[t]);
+      for (Variable* p : task_params[t]) {
+        tops::ScaleInPlace(p->mutable_grad(), agg.task_weights[t]);
       }
     }
     stats.phase.write_back = phase_timer.ElapsedSeconds();

@@ -28,8 +28,10 @@ struct StepPhaseTimes {
   double forward = 0.0;
   /// Per-task tape walks (BackwardInto), summed over tasks.
   double backward = 0.0;
-  /// Flattening leaf gradients into GradMatrix rows / task-specific grad
-  /// collection, summed over tasks.
+  /// Each task zeroing its GradMatrix row and its task parameters' grads
+  /// before its sweep accumulates into them, summed over tasks. (Named
+  /// `flatten` because harness reports, bench_fig8 and the telemetry
+  /// `phase_seconds` key on it.)
   double flatten = 0.0;
   /// ComputeConflictStats on the task-gradient matrix (Fig. 2 signal).
   double conflict_stats = 0.0;
@@ -106,15 +108,17 @@ autograd::Variable TaskLoss(data::TaskKind kind,
                             const data::Batch& batch);
 
 /// Orchestrates gradient-surgery training:
-///   forward all tasks → one backward per task → flatten shared-parameter
-///   gradients into a GradMatrix → GradientAggregator → write combined
-///   gradient back → optimizer step.
+///   forward all tasks → one backward per task, accumulating its
+///   shared-parameter gradients straight into its GradMatrix row →
+///   GradientAggregator → write combined gradient back → optimizer step.
 /// Task-specific parameters receive only their own task's gradient, scaled
 /// by the aggregator's task weights (loss-weighting methods).
 class MtlTrainer {
  public:
   /// Borrows all components; they must outlive the trainer. `seed` drives
-  /// the trainer's private Rng handed to stochastic aggregators.
+  /// the trainer's private Rng handed to stochastic aggregators. Aborts
+  /// unless the model's SharedParameters() and TaskParameters(t) partition
+  /// its Parameters() (each parameter in exactly one set).
   MtlTrainer(MtlModel* model, core::GradientAggregator* aggregator,
              optim::Optimizer* optimizer, std::vector<data::TaskKind> kinds,
              uint64_t seed);

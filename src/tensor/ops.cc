@@ -41,6 +41,23 @@ double BlockedReduce(int64_t n, BlockFn block_fn) {
   return s;
 }
 
+// Applies a span kernel to two same-shape tensors in ParallelFor chunks;
+// the kernels' per-element results do not depend on the chunking.
+template <typename SpanFn>
+Tensor SameShapeBinary(const Tensor& a, const Tensor& b, SpanFn span_fn) {
+  MG_CHECK(a.defined() && b.defined());
+  MG_CHECK(a.shape() == b.shape(), "shape mismatch: ", a.shape().ToString(),
+           " vs ", b.shape().ToString());
+  Tensor out(a.shape());
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out.data();
+  ParallelFor(0, out.NumElements(), kElemGrain, [&](int64_t i0, int64_t i1) {
+    span_fn(i1 - i0, pa + i0, pb + i0, po + i0);
+  });
+  return out;
+}
+
 // Applies one elementwise op over the broadcast of a and b. `span_fn(n,
 // pa, pb, po)` is the op's vectorized span kernel (a vec::Ew* front-end
 // routed through the per-tier table — 8-lane blocks with a scalar tail
@@ -58,20 +75,14 @@ template <typename SpanFn, typename Fn>
 Tensor BroadcastBinary(const Tensor& a, const Tensor& b, SpanFn span_fn,
                        Fn fn) {
   MG_CHECK(a.defined() && b.defined());
+  // Fast path: identical shapes — vectorized.
+  if (a.shape() == b.shape()) return SameShapeBinary(a, b, span_fn);
   const Shape out_shape = Shape::Broadcast(a.shape(), b.shape());
   Tensor out(out_shape);
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
   const int64_t n = out.NumElements();
-
-  // Fast path: identical shapes — vectorized.
-  if (a.shape() == b.shape()) {
-    ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
-      span_fn(i1 - i0, pa + i0, pb + i0, po + i0);
-    });
-    return out;
-  }
   if (n == 0) return out;
 
   const int rank = out_shape.Rank();
@@ -218,14 +229,29 @@ Tensor Clamp(const Tensor& a, float lo, float hi) {
   });
 }
 
+namespace {
+
+void AxpySpan(int64_t n, float alpha, const float* x, float* y) {
+  ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
+    vec::Axpy(i1 - i0, alpha, x + i0, y + i0);
+  });
+}
+
+}  // namespace
+
+Tensor ReluBackward(const Tensor& g, const Tensor& x) {
+  return SameShapeBinary(g, x, vec::EwReluGrad);
+}
+Tensor ClampBackward(const Tensor& g, const Tensor& x, float lo, float hi) {
+  return SameShapeBinary(
+      g, x, [lo, hi](int64_t n, const float* pg, const float* px, float* po) {
+        vec::EwClampGrad(n, pg, px, lo, hi, po);
+      });
+}
+
 void Axpy(float alpha, const Tensor& x, Tensor& y) {
   MG_CHECK_EQ(x.NumElements(), y.NumElements(), "Axpy size mismatch");
-  const float* px = x.data();
-  float* py = y.data();
-  const int64_t n = x.NumElements();
-  ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
-    vec::Axpy(i1 - i0, alpha, px + i0, py + i0);
-  });
+  AxpySpan(x.NumElements(), alpha, x.data(), y.data());
 }
 
 void ScaleInPlace(Tensor& y, float s) {
@@ -237,6 +263,9 @@ void ScaleInPlace(Tensor& y, float s) {
 }
 
 void AddInPlace(Tensor& y, const Tensor& x) { Axpy(1.0f, x, y); }
+void AddInPlace(float* y, const float* x, int64_t n) {
+  AxpySpan(n, 1.0f, x, y);
+}
 
 Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   MG_CHECK_EQ(a.Rank(), 2, "MatMul expects 2-D lhs, got ",

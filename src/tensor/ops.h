@@ -37,6 +37,12 @@ Tensor Abs(const Tensor& a);
 Tensor Sign(const Tensor& a);
 Tensor Clamp(const Tensor& a, float lo, float hi);
 
+// --- Activation backward (same shape, one pass, no mask tensor) ----------
+/// g * (x > 0 ? 1 : 0), bitwise Mul(g, mask) for the 0/1 Relu mask of x.
+Tensor ReluBackward(const Tensor& g, const Tensor& x);
+/// g * (lo < x < hi ? 1 : 0), bitwise Mul(g, mask) for Clamp's mask.
+Tensor ClampBackward(const Tensor& g, const Tensor& x, float lo, float hi);
+
 // --- In-place helpers (same shape, no broadcast) --------------------------
 
 /// y += alpha * x.
@@ -45,6 +51,9 @@ void Axpy(float alpha, const Tensor& x, Tensor& y);
 void ScaleInPlace(Tensor& y, float s);
 /// y += x.
 void AddInPlace(Tensor& y, const Tensor& x);
+/// y[0, n) += x[0, n) on raw spans: AddInPlace's chunks and arithmetic,
+/// for destinations that are not tensors (autograd leaf spans).
+void AddInPlace(float* y, const float* x, int64_t n);
 
 // --- Linear algebra --------------------------------------------------------
 

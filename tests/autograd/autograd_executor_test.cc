@@ -163,6 +163,29 @@ TEST_F(AutogradExecutorTest, BackwardIntoMatchesBackwardOnReadyQueue) {
   EXPECT_TRUE(BitIdentical(reference, it->second));
 }
 
+// BackwardInto(LeafGrads) adds each leaf's gradient into the caller's
+// zeroed span with Backward()'s bits, and refuses a sweep that reaches a
+// leaf the caller gave no span, naming the op that consumes it.
+TEST_F(AutogradExecutorTest, LeafGradsSpansMatchBackwardAndNeedEveryLeaf) {
+  ThreadPool::SetGlobalNumThreads(1);
+  Rng rng(9);
+  Variable w(Tensor::Randn({24, 12}, rng), /*requires_grad=*/true);
+  Variable x(Tensor::Randn({32, 24}, rng), /*requires_grad=*/false);
+  Variable loss =
+      ag::MseLoss(ag::Tanh(ag::MatMul(x, w)), Tensor::Zeros({32, 12}));
+
+  loss.Backward();
+  const Tensor reference = w.grad().Clone();
+  std::vector<float> span(w.NumElements(), 0.0f);
+  loss.BackwardInto(Variable::LeafGrads{{w.node().get(), span.data()}});
+  EXPECT_EQ(std::memcmp(span.data(), reference.data(),
+                        span.size() * sizeof(float)),
+            0);
+
+  EXPECT_DEATH(loss.BackwardInto(Variable::LeafGrads{}),
+               "consumed by op MatMul has no LeafGrads entry");
+}
+
 TEST_F(AutogradExecutorTest, SinkAccumulatesAcrossRootsOnReadyQueue) {
   // Two BackwardInto calls with the same sink must sum, exactly like two
   // Backward() calls sum into the persistent grad buffer.

@@ -211,6 +211,35 @@ TEST(MatMulGradTest, MatchesFiniteDifference) {
       {a, b});
 }
 
+// A sweep never routes a gradient to an operand that does not require
+// one, so MatMul skips that operand's GEMM; the other operand's gradient
+// is unchanged.
+TEST(MatMulGradTest, SkipsTheGradientOfANoGradOperand) {
+  Rng rng(8);
+  const Tensor x = Tensor::Randn({4, 5}, rng, 0.0f, 0.5f);
+  const Tensor w = Tensor::Randn({5, 3}, rng, 0.0f, 0.5f);
+  for (bool x_first : {true, false}) {
+    SCOPED_TRACE(x_first ? "MatMul(x, W)" : "MatMul(W^T, x^T)");
+    Variable xv(x_first ? x : t::Transpose2D(x), /*requires_grad=*/false);
+    Variable wv(x_first ? w : t::Transpose2D(w), /*requires_grad=*/true);
+    Variable y = x_first ? ag::MatMul(xv, wv) : ag::MatMul(wv, xv);
+    const std::vector<Tensor> grads =
+        y.node()->grad_fn(Tensor::Ones(y.shape()));
+    ASSERT_EQ(grads.size(), 2u);
+    EXPECT_EQ(grads[x_first ? 0 : 1].defined(), false);
+    EXPECT_EQ(grads[x_first ? 1 : 0].defined(), true);
+
+    ag::MeanAll(y).Backward();
+    EXPECT_FALSE(xv.has_grad());
+    EXPECT_TRUE(wv.has_grad());
+  }
+  testing::ExpectGradientsClose(
+      [&x](const std::vector<Variable>& v) {
+        return ag::MeanAll(ag::Tanh(ag::MatMul(Variable(x, false), v[0])));
+      },
+      {w});
+}
+
 TEST(ShapeOpsGradTest, ReshapeTransposeConcatSlice) {
   Rng rng(5);
   Tensor a = Tensor::Randn({2, 6}, rng);

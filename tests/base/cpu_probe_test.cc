@@ -58,9 +58,15 @@ TEST(CpuProbeTest, AgreesWithProcCpuinfo) {
 
 TEST(CpuProbeTest, OsSupportImpliesCpuSupport) {
   const cpu::Features& f = cpu::GetFeatures();
-  if (f.os_avx512) EXPECT_TRUE(f.os_avx);
-  if (f.avx2) EXPECT_TRUE(f.sse2);
-  if (f.avx512f) EXPECT_TRUE(f.avx2) << "no AVX-512 hardware lacks AVX2";
+  if (f.os_avx512) {
+    EXPECT_TRUE(f.os_avx);
+  }
+  if (f.avx2) {
+    EXPECT_TRUE(f.sse2);
+  }
+  if (f.avx512f) {
+    EXPECT_TRUE(f.avx2) << "no AVX-512 hardware lacks AVX2";
+  }
 }
 
 TEST(CpuProbeTest, ActiveTierIsUsable) {

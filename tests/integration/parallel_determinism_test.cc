@@ -266,14 +266,17 @@ TEST_F(ParallelDeterminismTest, TrainerStepsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The ready-queue engine against its sequential oracle on real model tapes:
-// every task-separable architecture, with distinct per-task inputs and with
-// one shared input Variable fed to all K task forwards. Each task's
-// BackwardInto sink, from K sweeps launched concurrently at pools 1/2/8,
-// must hold per leaf exactly the bits the oracle's serial sweep leaves.
+// The ready-queue engine and the trainer's leaf destinations against the
+// sequential oracle on real model tapes: every mtl_cases.h architecture,
+// with distinct per-task inputs and with one shared input Variable fed to
+// all K task forwards. At pools 1/2/8, each task's BackwardInto sink from
+// K sweeps launched concurrently, and the task-gradient row and task-
+// parameter grads a trainer Step leaves (unit task weights, so the
+// write-back scale is exact), must hold per leaf exactly the bits the
+// oracle's serial sweep leaves — zeros for a leaf the task never reaches.
 TEST_F(ParallelDeterminismTest, ReadyQueueMatchesSequentialOracleOnModelTapes) {
   constexpr int kTasks = 3;
-  for (testing::MtlArch arch : testing::TaskSeparableMtlArchs()) {
+  for (testing::MtlArch arch : testing::AllMtlArchs()) {
     for (bool distinct : {true, false}) {
       SCOPED_TRACE(std::string(testing::MtlArchName(arch)) +
                    (distinct ? " distinct inputs" : " one shared input"));
@@ -296,10 +299,50 @@ TEST_F(ParallelDeterminismTest, ReadyQueueMatchesSequentialOracleOnModelTapes) {
       for (int threads : kThreadCounts) {
         ThreadPool::SetGlobalNumThreads(threads);
         const std::vector<Variable::GradSink> sinks = ConcurrentSinks(losses);
+        // The trainer runs on a second, identical model, so the tape above
+        // keeps reading unchanged parameter values. It takes two steps at
+        // a zero learning rate: the second step's destinations must carry
+        // nothing over from the first.
+        testing::MtlCase twin = testing::MakeMtlCase(arch, /*seed=*/321,
+                                                     kTasks, distinct, 48);
+        testing::RowSpyAggregator spy;
+        optim::Sgd opt(twin.model->Parameters(), /*lr=*/0.0f);
+        mtl::MtlTrainer trainer(twin.model.get(), &spy, &opt, twin.kinds,
+                                /*seed=*/5);
+        trainer.Step(twin.batches);
+        trainer.Step(twin.batches);
         for (int t = 0; t < kTasks; ++t) {
           SCOPED_TRACE("task " + std::to_string(t) + " at " +
                        std::to_string(threads) + " threads");
           ExpectSinksIdentical(reference[t], sinks[t], leaves);
+          // Each trainer destination, in the twin's parameter order.
+          std::vector<const float*> got;
+          const float* row = spy.rows[t].data();
+          for (const Variable* p : twin.model->SharedParameters()) {
+            got.push_back(row);
+            row += p->NumElements();
+          }
+          for (const Variable* p : twin.model->TaskParameters(t)) {
+            got.push_back(p->grad().data());
+          }
+          std::vector<const Variable*> mine;
+          for (const Variable* p : c.model->SharedParameters()) {
+            mine.push_back(p);
+          }
+          for (const Variable* p : c.model->TaskParameters(t)) {
+            mine.push_back(p);
+          }
+          ASSERT_EQ(got.size(), mine.size());
+          for (size_t i = 0; i < mine.size(); ++i) {
+            auto it = reference[t].find(mine[i]->node().get());
+            const Tensor want = it == reference[t].end()
+                                    ? Tensor::Zeros(mine[i]->shape())
+                                    : it->second;
+            EXPECT_EQ(std::memcmp(want.data(), got[i],
+                                  want.NumElements() * sizeof(float)),
+                      0)
+                << "trainer destination " << i << " differs";
+          }
         }
       }
     }

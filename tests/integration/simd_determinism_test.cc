@@ -30,6 +30,7 @@
 #include "optim/optimizer.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
+#include "testing/mtl_cases.h"
 
 namespace mocograd {
 namespace {
@@ -163,7 +164,7 @@ TEST_F(SimdDeterminismTest, TensorKernelsBitIdenticalAcrossBackendsAndPools) {
 
   bool have_ref = false;
   float sum0 = 0, norm0 = 0, dot0 = 0;
-  Tensor add0, mul0, relu0, clamp0, max0, axpy0;
+  Tensor add0, mul0, relu0, clamp0, max0, axpy0, relu_bwd0, clamp_bwd0;
   for (const auto& [tier, threads] : Configs()) {
     Apply(tier, threads);
     const float sum = tops::SumAll(a);
@@ -176,6 +177,8 @@ TEST_F(SimdDeterminismTest, TensorKernelsBitIdenticalAcrossBackendsAndPools) {
     Tensor max = tops::Maximum(a, b);
     Tensor axpy = a.Clone();
     tops::Axpy(0.37f, b, axpy);
+    Tensor relu_bwd = tops::ReluBackward(b, a);
+    Tensor clamp_bwd = tops::ClampBackward(b, a, -0.5f, 0.5f);
     if (!have_ref) {
       have_ref = true;
       sum0 = sum;
@@ -187,6 +190,8 @@ TEST_F(SimdDeterminismTest, TensorKernelsBitIdenticalAcrossBackendsAndPools) {
       clamp0 = clamp;
       max0 = max;
       axpy0 = axpy;
+      relu_bwd0 = relu_bwd;
+      clamp_bwd0 = clamp_bwd;
       // The contract's pinned semantics, identical on every backend: the
       // second operand of Max/Min wins on unordered comparisons and on
       // +/-0 ties.
@@ -217,6 +222,10 @@ TEST_F(SimdDeterminismTest, TensorKernelsBitIdenticalAcrossBackendsAndPools) {
           << "Maximum differs " << CellName(tier, threads);
       EXPECT_TRUE(BitIdentical(axpy0, axpy))
           << "Axpy differs " << CellName(tier, threads);
+      EXPECT_TRUE(BitIdentical(relu_bwd0, relu_bwd))
+          << "ReluBackward differs " << CellName(tier, threads);
+      EXPECT_TRUE(BitIdentical(clamp_bwd0, clamp_bwd))
+          << "ClampBackward differs " << CellName(tier, threads);
     }
   }
 }
@@ -324,6 +333,46 @@ TEST_F(SimdDeterminismTest, TrainerStepsBitIdenticalAcrossBackendsAndPools) {
     ASSERT_EQ(losses.size(), losses0.size());
     EXPECT_TRUE(BitIdentical(losses0, losses))
         << "losses differ " << CellName(tier, threads);
+  }
+}
+
+// The trainer's leaf destinations for every mtl_cases architecture: one
+// Step's task-gradient rows and task-parameter grads (unit task weights)
+// are bit-identical on every tier at every pool size.
+TEST_F(SimdDeterminismTest,
+       TrainerLeafDestinationsBitIdenticalAcrossBackendsAndPools) {
+  constexpr int kTasks = 3;
+  auto run = [](testing::MtlArch arch) {
+    testing::MtlCase c = testing::MakeMtlCase(arch, /*seed=*/31, kTasks,
+                                              /*distinct_inputs=*/true,
+                                              /*rows=*/48);
+    testing::RowSpyAggregator spy;
+    optim::Adam opt(c.model->Parameters(), 1e-2f);
+    mtl::MtlTrainer trainer(c.model.get(), &spy, &opt, c.kinds, /*seed=*/5);
+    trainer.Step(c.batches);
+    std::vector<float> out;
+    for (const std::vector<float>& row : spy.rows) {
+      out.insert(out.end(), row.begin(), row.end());
+    }
+    for (int t = 0; t < kTasks; ++t) {
+      for (const Variable* p : c.model->TaskParameters(t)) {
+        const float* g = p->grad().data();
+        out.insert(out.end(), g, g + p->NumElements());
+      }
+    }
+    return out;
+  };
+
+  const std::vector<std::pair<simd::IsaTier, int>> configs = Configs();
+  for (testing::MtlArch arch : testing::AllMtlArchs()) {
+    Apply(configs[0].first, configs[0].second);
+    const std::vector<float> ref = run(arch);
+    for (const auto& [tier, threads] : configs) {
+      Apply(tier, threads);
+      EXPECT_TRUE(BitIdentical(ref, run(arch)))
+          << testing::MtlArchName(arch) << " differs "
+          << CellName(tier, threads);
+    }
   }
 }
 

@@ -308,5 +308,52 @@ TEST(MtlTrainerTest, MismatchedBatchCountAborts) {
   EXPECT_DEATH(trainer.Step(one), "one batch per task");
 }
 
+// A two-task model whose bias parameter is listed by both heads, or by
+// no parameter set at all. Never run: the trainer rejects it up front.
+class BadPartitionModel : public mtl::MtlModel {
+ public:
+  explicit BadPartitionModel(bool bias_in_both_heads)
+      : bias_in_both_heads_(bias_in_both_heads) {
+    trunk_ = RegisterParameter("trunk", Tensor::Ones({2, 2}));
+    heads_ = {RegisterParameter("head0", Tensor::Ones({2, 1})),
+              RegisterParameter("head1", Tensor::Ones({2, 1}))};
+    bias_ = RegisterParameter("bias", Tensor::Zeros({1}));
+  }
+  int num_tasks() const override { return 2; }
+  std::vector<Variable> Forward(const std::vector<Variable>&) override {
+    return {};
+  }
+  std::vector<Variable*> SharedParameters() override { return {trunk_}; }
+  std::vector<Variable*> TaskParameters(int k) override {
+    if (!bias_in_both_heads_) return {heads_[k]};
+    return {heads_[k], bias_};
+  }
+
+ private:
+  bool bias_in_both_heads_;
+  Variable* trunk_;
+  std::vector<Variable*> heads_;
+  Variable* bias_;
+};
+
+// Each task's sweep writes its parameters' gradients in place and the
+// write-back overwrites every gradient, so the shared and per-task sets
+// must partition Parameters(): a parameter two heads share would be
+// written by two concurrent sweeps, and one in no set would keep a stale
+// gradient.
+TEST(MtlTrainerTest, ConstructorRejectsAParameterPartitionThatIsNotOne) {
+  core::EqualWeight agg;
+  const std::vector<TaskKind> kinds = {TaskKind::kRegression,
+                                       TaskKind::kRegression};
+  BadPartitionModel shared_bias(/*bias_in_both_heads=*/true);
+  optim::Adam opt(shared_bias.Parameters(), 1e-2f);
+  EXPECT_DEATH(mtl::MtlTrainer(&shared_bias, &agg, &opt, kinds, 3),
+               "must partition Parameters");
+  BadPartitionModel orphan_bias(/*bias_in_both_heads=*/false);
+  optim::Adam opt2(orphan_bias.Parameters(), 1e-2f);
+  EXPECT_DEATH(mtl::MtlTrainer(&orphan_bias, &agg, &opt2, kinds, 3),
+               "must partition Parameters");
+}
+
 }  // namespace
 }  // namespace mocograd

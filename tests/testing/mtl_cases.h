@@ -5,9 +5,11 @@
 // batches, shared by the trainer and parallel-determinism tests.
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "base/rng.h"
+#include "core/aggregator.h"
 #include "data/batch.h"
 #include "mtl/cgc.h"
 #include "mtl/cross_stitch.h"
@@ -165,6 +167,26 @@ inline MtlCase MakeMtlCase(MtlArch arch, uint64_t seed, int num_tasks,
   }
   return c;
 }
+
+/// Records the task-gradient rows the trainer hands to the aggregator and
+/// returns unit task weights (and a zero shared update), so after a Step
+/// each task parameter's grad() holds exactly its own task's sweep output.
+class RowSpyAggregator : public core::GradientAggregator {
+ public:
+  std::string name() const override { return "row_spy"; }
+  core::AggregationResult Aggregate(
+      const core::AggregationContext& ctx) override {
+    const core::GradMatrix& g = *ctx.task_grads;
+    rows.clear();
+    for (int t = 0; t < g.num_tasks(); ++t) rows.push_back(g.RowVector(t));
+    core::AggregationResult r;
+    r.shared_grad.assign(g.dim(), 0.0f);
+    r.task_weights.assign(g.num_tasks(), 1.0f);
+    return r;
+  }
+
+  std::vector<std::vector<float>> rows;
+};
 
 }  // namespace testing
 }  // namespace mocograd
