@@ -11,7 +11,7 @@ namespace core {
 
 /// Options for the MoCoGrad aggregator (paper §IV-B). The two ablation
 /// switches below deviate from the paper and exist for the ablation bench
-/// (bench_ablation_mocograd): they isolate how much of MoCoGrad's behavior
+/// (bench_paper ablation): they isolate how much of MoCoGrad's behavior
 /// comes from the momentum direction and from the single-partner rule.
 struct MoCoGradOptions {
   /// λ in Eq. (8): calibration strength, λ ∈ (0, 1]. The paper's parameter
