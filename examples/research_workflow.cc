@@ -47,12 +47,13 @@ int main() {
   mtl::MtlTrainer trainer(&model, aggregator.get(), &opt, kinds, /*seed=*/7);
 
   core::ConflictTracker tracker;
-  trainer.set_conflict_tracker(&tracker);
 
   // --- Train. -------------------------------------------------------------
   Rng data_rng(11);
   for (int step = 0; step < 300; ++step) {
-    trainer.Step(dataset.SampleTrainBatches(32, data_rng));
+    const mtl::StepStats stats =
+        trainer.Step(dataset.SampleTrainBatches(32, data_rng));
+    tracker.RecordFromCosines(6, stats.cosines);
     schedule.Step();
   }
   std::printf("final lr after /sqrt(t) decay: %.5f\n", opt.learning_rate());

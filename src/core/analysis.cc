@@ -1,15 +1,12 @@
 #include "core/analysis.h"
 
+#include <cstdio>
 #include <sstream>
 
 #include "base/check.h"
 
 namespace mocograd {
 namespace core {
-
-void ConflictTracker::Record(const GradMatrix& grads) {
-  RecordFromCosines(grads.num_tasks(), PairwiseCosines(grads));
-}
 
 void ConflictTracker::RecordFromCosines(int num_tasks,
                                         const std::vector<double>& cosines) {

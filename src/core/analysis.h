@@ -6,9 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/conflict.h"
-#include "core/grad_matrix.h"
-
 namespace mocograd {
 namespace core {
 
@@ -18,14 +15,9 @@ namespace core {
 /// users who want to inspect *which* task pairs fight and when.
 class ConflictTracker {
  public:
-  /// Records one step's task-gradient matrix. Equivalent to
-  /// RecordFromCosines(grads.num_tasks(), PairwiseCosines(grads)).
-  void Record(const GradMatrix& grads);
-
-  /// Records one step from an already-computed K×K pairwise cosine matrix
-  /// (row-major; GCD = 1 − cos). The dedupe path: when an aggregator
-  /// published its cosines through obs::AggregatorTrace, the trainer feeds
-  /// them here instead of paying a second O(K²·P) sweep.
+  /// Records one step from its K×K pairwise cosine matrix (row-major;
+  /// GCD = 1 − cos): a trainer step's StepStats::cosines, or
+  /// PairwiseCosines over a task-gradient matrix.
   void RecordFromCosines(int num_tasks, const std::vector<double>& cosines);
 
   int64_t num_steps() const { return num_steps_; }

@@ -32,10 +32,6 @@ bool IsConflicting(const float* a, const float* b, int64_t n) {
   return Gcd(a, b, n) > 1.0;
 }
 
-ConflictStats ComputeConflictStats(const GradMatrix& grads) {
-  return ConflictStatsFromCosines(grads.num_tasks(), PairwiseCosines(grads));
-}
-
 std::vector<double> PairwiseCosines(const GradMatrix& grads) {
   const int k = grads.num_tasks();
   const std::vector<std::vector<double>> gram = grads.Gram();

@@ -33,20 +33,15 @@ struct ConflictStats {
   int num_pairs = 0;
 };
 
-/// Computes pairwise conflict statistics over the task-gradient matrix.
-/// Equivalent to ConflictStatsFromCosines(PairwiseCosines(grads)).
-ConflictStats ComputeConflictStats(const GradMatrix& grads);
-
 /// The full K×K pairwise cosine matrix of the task gradients (row-major,
 /// symmetric, diagonal 1), derived from one GradMatrix::Gram() pass as
 /// G_ij / (sqrt(G_ii)·sqrt(G_jj)), 0 when that denominator is below 1e-12 —
 /// bit-identical to AggregatorTrace::SetCosinesFromGram on the same Gram.
 std::vector<double> PairwiseCosines(const GradMatrix& grads);
 
-/// Conflict statistics from an already-computed K×K cosine matrix — the
-/// dedupe path for aggregators that publish their cosines through
-/// obs::AggregatorTrace (GCD = 1 − cos, pairs visited in i<j row order,
-/// matching ComputeConflictStats exactly).
+/// Pairwise conflict statistics from a K×K cosine matrix: PairwiseCosines'
+/// or the one an aggregator published through obs::AggregatorTrace
+/// (GCD = 1 − cos, pairs visited in i<j row order).
 ConflictStats ConflictStatsFromCosines(int num_tasks,
                                        const std::vector<double>& cosines);
 

@@ -191,39 +191,27 @@ StepStats MtlTrainer::Step(const std::vector<Batch>& batches) {
     agg = aggregator_->Aggregate(ctx);
     stats.phase.aggregate = phase_timer.ElapsedSeconds();
   }
-  stats.aggregator_conflicts = agg.num_conflicts;
   MG_METRIC_COUNT("trainer.aggregator_conflicts", agg.num_conflicts);
   MG_CHECK_EQ(static_cast<int64_t>(agg.shared_grad.size()), shared_dim);
   MG_CHECK_EQ(static_cast<int>(agg.task_weights.size()), k);
 
-  // Conflict statistics, deduped against the aggregator's own pairwise
-  // sweep: when the method published a complete cosine matrix through the
-  // trace (MoCoGrad's calibration scan, the Gram-based solvers), those
-  // cosines are reused; otherwise one O(K²·P) PairwiseCosines pass covers
-  // stats, tracker, and telemetry together.
-  const bool telemetry_sampled = telemetry_ != nullptr && telemetry_->ok() &&
-                                 telemetry_->ShouldSample(step_);
-  std::vector<double> fallback_cosines;
-  const std::vector<double>* cosines = nullptr;
-  if (conflict_stats_enabled_ || tracker_ != nullptr || telemetry_sampled) {
+  stats.backward_seconds = backward_timer.ElapsedSeconds();
+
+  // Conflict statistics (Fig. 2's GCD signal), every step. A method that
+  // published a complete cosine matrix through the trace (MoCoGrad's
+  // calibration scan, the Gram-based solvers) already paid for it; for the
+  // rest this is one O(K²·P) PairwiseCosines pass.
+  {
     MG_TRACE_SCOPE("trainer.conflict_stats");
     phase_timer.Restart();
-    if (trace_.cosines_complete()) {
-      cosines = &trace_.cosine_matrix();
-    } else {
-      fallback_cosines = core::PairwiseCosines(task_grads);
-      cosines = &fallback_cosines;
-    }
-    if (conflict_stats_enabled_) {
-      stats.conflicts = core::ConflictStatsFromCosines(k, *cosines);
-      MG_METRIC_COUNT("trainer.conflicting_pairs",
-                      stats.conflicts.num_conflicting_pairs);
-    }
-    if (tracker_ != nullptr) tracker_->RecordFromCosines(k, *cosines);
+    stats.cosines = trace_.cosines_complete()
+                        ? trace_.cosine_matrix()
+                        : core::PairwiseCosines(task_grads);
+    stats.conflicts = core::ConflictStatsFromCosines(k, stats.cosines);
+    MG_METRIC_COUNT("trainer.conflicting_pairs",
+                    stats.conflicts.num_conflicting_pairs);
     stats.phase.conflict_stats = phase_timer.ElapsedSeconds();
   }
-
-  stats.backward_seconds = backward_timer.ElapsedSeconds();
 
   // Watchdog scan over this step's losses and aggregated gradient.
   // Observation-only unless abort_on_event is set.
@@ -303,7 +291,8 @@ StepStats MtlTrainer::Step(const std::vector<Batch>& batches) {
 
   // Telemetry record, written last so the phase breakdown is complete.
   // Everything here *reads* finished step state — nothing feeds back.
-  if (telemetry_sampled) {
+  if (telemetry_ != nullptr && telemetry_->ok() &&
+      telemetry_->ShouldSample(step_)) {
     obs::TelemetryRecord rec;
     rec.step = step_;
     rec.method = method_name_;
@@ -318,17 +307,11 @@ StepStats MtlTrainer::Step(const std::vector<Batch>& batches) {
       }
     }
     rec.momentum_norms = trace_.momentum_norms();
-    if (cosines != nullptr) {
-      rec.cosines = *cosines;
-      const core::ConflictStats cs =
-          conflict_stats_enabled_
-              ? stats.conflicts
-              : core::ConflictStatsFromCosines(k, *cosines);
-      rec.mean_gcd = cs.mean_gcd;
-      rec.max_gcd = cs.max_gcd;
-      rec.num_conflicting_pairs = cs.num_conflicting_pairs;
-      rec.num_pairs = cs.num_pairs;
-    }
+    rec.cosines = stats.cosines;
+    rec.mean_gcd = stats.conflicts.mean_gcd;
+    rec.max_gcd = stats.conflicts.max_gcd;
+    rec.num_conflicting_pairs = stats.conflicts.num_conflicting_pairs;
+    rec.num_pairs = stats.conflicts.num_pairs;
     rec.trace = &trace_;
     rec.phase_seconds = {{"forward", stats.phase.forward},
                          {"backward", stats.phase.backward},

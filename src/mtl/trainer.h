@@ -7,7 +7,6 @@
 
 #include "base/rng.h"
 #include "core/aggregator.h"
-#include "core/analysis.h"
 #include "core/conflict.h"
 #include "data/batch.h"
 #include "mtl/model.h"
@@ -33,7 +32,8 @@ struct StepPhaseTimes {
   /// `flatten` because harness reports, bench_fig8 and the telemetry
   /// `phase_seconds` key on it.)
   double flatten = 0.0;
-  /// ComputeConflictStats on the task-gradient matrix (Fig. 2 signal).
+  /// The K×K cosine matrix and its ConflictStatsFromCosines summary
+  /// (Fig. 2 signal); reads the aggregator's published cosines when complete.
   double conflict_stats = 0.0;
   /// GradientAggregator::Aggregate — see `aggregator` for its sub-phases.
   double aggregate = 0.0;
@@ -86,14 +86,17 @@ struct StepPhaseTimes {
 struct StepStats {
   /// Raw per-task loss values.
   std::vector<float> losses;
-  /// Pairwise conflict statistics of the per-task shared gradients — the
-  /// GCD signal used in the paper's analysis (Fig. 2). All-zero when the
-  /// trainer's conflict-stats pass is disabled.
+  /// Pairwise cosines of the per-task shared gradients, K×K row-major,
+  /// symmetric, diagonal 1: the aggregator's published matrix when complete
+  /// (obs::AggregatorTrace::cosines_complete), else core::PairwiseCosines
+  /// over the task-gradient matrix. Feed it to
+  /// core::ConflictTracker::RecordFromCosines to track pairs across steps.
+  std::vector<double> cosines;
+  /// ConflictStatsFromCosines(K, cosines): the GCD signal of the paper's
+  /// analysis (Fig. 2).
   core::ConflictStats conflicts;
-  /// Conflicts the aggregation method itself acted on.
-  int aggregator_conflicts = 0;
   /// Wall-clock seconds spent in the K backward passes + aggregation (the
-  /// quantity of the paper's Fig. 8).
+  /// quantity of the paper's Fig. 8); excludes the conflict-stats pass.
   double backward_seconds = 0.0;
   /// Per-phase wall-clock breakdown of the whole step.
   StepPhaseTimes phase;
@@ -138,21 +141,6 @@ class MtlTrainer {
   MtlModel* model() { return model_; }
   int64_t steps_done() const { return step_; }
 
-  /// Optional: record every step's task-gradient matrix into a
-  /// ConflictTracker (borrowed; pass nullptr to stop tracking).
-  void set_conflict_tracker(core::ConflictTracker* tracker) {
-    tracker_ = tracker;
-  }
-
-  /// Toggles the per-step ComputeConflictStats pass (default on). The pass
-  /// is O(K²·P) analysis-only work; throughput benchmarks that never read
-  /// `StepStats::conflicts` can switch it off. Does not affect the
-  /// ConflictTracker or any training result.
-  void set_conflict_stats_enabled(bool enabled) {
-    conflict_stats_enabled_ = enabled;
-  }
-  bool conflict_stats_enabled() const { return conflict_stats_enabled_; }
-
   /// Optional global-norm gradient clipping applied to the aggregated
   /// update (shared + task-specific gradients jointly) before the
   /// optimizer step; 0 disables (default).
@@ -172,10 +160,6 @@ class MtlTrainer {
   /// Mutable so callers can tune thresholds or disable it entirely.
   TrainingWatchdog* watchdog() { return &watchdog_; }
 
-  /// The decision trace the aggregator filled during the most recent Step
-  /// (cosines, per-pair calibration/projection decisions, solver weights).
-  const obs::AggregatorTrace& last_trace() const { return trace_; }
-
  private:
   MtlModel* model_;
   core::GradientAggregator* aggregator_;
@@ -183,9 +167,7 @@ class MtlTrainer {
   std::vector<data::TaskKind> kinds_;
   Rng rng_;
   int64_t step_ = 0;
-  core::ConflictTracker* tracker_ = nullptr;
   float max_grad_norm_ = 0.0f;
-  bool conflict_stats_enabled_ = true;
   std::string method_name_;       // cached aggregator_->name()
   obs::AggregatorTrace trace_;    // reused across steps (no per-step alloc)
   TrainingWatchdog watchdog_;     // options from env by default

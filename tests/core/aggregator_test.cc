@@ -81,7 +81,7 @@ TEST(ConflictTest, ZeroGradientIsNeutral) {
 
 TEST(ConflictTest, StatsCountPairs) {
   GradMatrix g = MakeGrads({{1, 0}, {-1, 0}, {0, 1}});
-  auto stats = core::ComputeConflictStats(g);
+  auto stats = core::ConflictStatsFromCosines(3, core::PairwiseCosines(g));
   EXPECT_EQ(stats.num_pairs, 3);
   EXPECT_EQ(stats.num_conflicting_pairs, 1);
   EXPECT_NEAR(stats.max_gcd, 2.0, 1e-9);

@@ -2,27 +2,31 @@
 
 #include <gtest/gtest.h>
 
+#include "core/conflict.h"
+#include "core/grad_matrix.h"
+
 namespace mocograd {
 namespace {
 
 using core::ConflictTracker;
 using core::GradMatrix;
 
-GradMatrix MakeGrads(const std::vector<std::vector<float>>& rows) {
+// Records one step whose task gradients are `rows`.
+void Record(ConflictTracker& t, const std::vector<std::vector<float>>& rows) {
   GradMatrix g(static_cast<int>(rows.size()),
                static_cast<int64_t>(rows[0].size()));
   for (size_t i = 0; i < rows.size(); ++i) {
     g.SetRow(static_cast<int>(i), rows[i]);
   }
-  return g;
+  t.RecordFromCosines(g.num_tasks(), core::PairwiseCosines(g));
 }
 
 TEST(ConflictTrackerTest, CountsConflictsPerPair) {
   ConflictTracker t;
   // Step 1: tasks 0 and 1 conflict; 2 is orthogonal to both.
-  t.Record(MakeGrads({{1, 0}, {-1, 0}, {0, 1}}));
+  Record(t, {{1, 0}, {-1, 0}, {0, 1}});
   // Step 2: no conflicts.
-  t.Record(MakeGrads({{1, 0}, {1, 0.5f}, {0, 1}}));
+  Record(t, {{1, 0}, {1, 0.5f}, {0, 1}});
   EXPECT_EQ(t.num_steps(), 2);
   EXPECT_EQ(t.num_tasks(), 3);
   EXPECT_DOUBLE_EQ(t.ConflictFrequency(0, 1), 0.5);
@@ -34,8 +38,8 @@ TEST(ConflictTrackerTest, CountsConflictsPerPair) {
 
 TEST(ConflictTrackerTest, GcdTraceAndPairMeans) {
   ConflictTracker t;
-  t.Record(MakeGrads({{1, 0}, {-1, 0}}));  // GCD = 2
-  t.Record(MakeGrads({{1, 0}, {0, 1}}));   // GCD = 1
+  Record(t, {{1, 0}, {-1, 0}});  // GCD = 2
+  Record(t, {{1, 0}, {0, 1}});   // GCD = 1
   ASSERT_EQ(t.gcd_trace().size(), 2u);
   EXPECT_NEAR(t.gcd_trace()[0], 2.0, 1e-9);
   EXPECT_NEAR(t.gcd_trace()[1], 1.0, 1e-9);
@@ -44,7 +48,7 @@ TEST(ConflictTrackerTest, GcdTraceAndPairMeans) {
 
 TEST(ConflictTrackerTest, SummaryAndReset) {
   ConflictTracker t;
-  t.Record(MakeGrads({{1, 0}, {-1, 0}}));
+  Record(t, {{1, 0}, {-1, 0}});
   const std::string s = t.Summary();
   EXPECT_NE(s.find("1 steps, 2 tasks"), std::string::npos);
   EXPECT_NE(s.find("most conflicting pair: (0, 1)"), std::string::npos);
@@ -52,14 +56,14 @@ TEST(ConflictTrackerTest, SummaryAndReset) {
   EXPECT_EQ(t.num_steps(), 0);
   EXPECT_EQ(t.MostConflictingPair(), (std::pair<int, int>{-1, -1}));
   // After reset a different task count is accepted.
-  t.Record(MakeGrads({{1}, {1}, {1}}));
+  Record(t, {{1}, {1}, {1}});
   EXPECT_EQ(t.num_tasks(), 3);
 }
 
 TEST(ConflictTrackerTest, TaskCountChangeAborts) {
   ConflictTracker t;
-  t.Record(MakeGrads({{1, 0}, {0, 1}}));
-  EXPECT_DEATH(t.Record(MakeGrads({{1}, {1}, {1}})), "task count changed");
+  Record(t, {{1, 0}, {0, 1}});
+  EXPECT_DEATH(Record(t, {{1}, {1}, {1}}), "task count changed");
 }
 
 TEST(ConflictTrackerTest, QueriesBeforeRecordingAbort) {

@@ -65,11 +65,12 @@ TEST(ScenePipelineTest, ConflictTrackerSeesDenseGradients) {
                            data::TaskKind::kPixelRegression},
                           9);
   core::ConflictTracker tracker;
-  trainer.set_conflict_tracker(&tracker);
 
   Rng data_rng(7);
   for (int step = 0; step < 10; ++step) {
-    trainer.Step(ds.SampleTrainBatches(4, data_rng));
+    const mtl::StepStats stats =
+        trainer.Step(ds.SampleTrainBatches(4, data_rng));
+    tracker.RecordFromCosines(3, stats.cosines);
   }
   EXPECT_EQ(tracker.num_steps(), 10);
   EXPECT_EQ(tracker.num_tasks(), 3);
