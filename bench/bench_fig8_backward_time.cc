@@ -16,6 +16,7 @@
 #include "data/aliexpress.h"
 #include "harness/experiment.h"
 #include "mtl/trainer.h"
+#include "obs/phase_profile.h"
 #include "optim/optimizer.h"
 
 namespace mocograd {
@@ -53,7 +54,8 @@ void BM_BackwardStep(benchmark::State& state, const std::string& method,
   Rng data_rng(13);
   double backward_seconds = 0.0;
   double step_seconds = 0.0;
-  mtl::StepPhaseTimes phases;
+  obs::PhaseProfile phases;
+  obs::PhaseProfile aggregator_phases;
   int64_t steps = 0;
   for (auto _ : state) {
     auto batches = ds.SampleTrainBatches(64, data_rng);
@@ -61,33 +63,25 @@ void BM_BackwardStep(benchmark::State& state, const std::string& method,
     mtl::StepStats stats = trainer.Step(batches);
     step_seconds += step_timer.ElapsedSeconds();
     backward_seconds += stats.backward_seconds;
-    phases.Accumulate(stats.phase);
+    phases.Merge(stats.phase);
+    aggregator_phases.Merge(stats.aggregator_phase);
     ++steps;
     benchmark::DoNotOptimize(stats.losses);
   }
   const double inv = 1e3 / std::max<int64_t>(steps, 1);
   state.counters["backward_ms_per_iter"] =
       benchmark::Counter(inv * backward_seconds);
-  // backward_ms_per_iter (the Fig. 8 quantity) stops before the trainer's
-  // conflict-stats pass, which shows up in its own stats_ms column.
-  // Phase attribution: where each method's step actually goes. "solver" is
-  // the aggregator-internal solver work (Frank–Wolfe / fixed-point / Jacobi
-  // sweeps / surgery loops); "agg" is the whole Aggregate() call containing
-  // it. On a single-core pool fwd+bwd+flatten+agg+stats+writeback+opt sums
-  // to the measured step wall-clock (step_ms_per_iter); with more workers
-  // the backward/flatten columns sum CPU time across workers instead.
+  // Where each method's step goes: the <phase>_ms columns sum to
+  // step_ms_per_iter at every pool size, backward_ms_per_iter (Fig. 8) is
+  // setup + backward + aggregate, and the agg_<sub>_ms columns split
+  // aggregate_ms into the method's sub-phases (gram, solver, ...).
   state.counters["step_ms_per_iter"] = benchmark::Counter(inv * step_seconds);
-  state.counters["fwd_ms"] = benchmark::Counter(inv * phases.forward);
-  state.counters["bwd_ms"] = benchmark::Counter(inv * phases.backward);
-  state.counters["flatten_ms"] = benchmark::Counter(inv * phases.flatten);
-  state.counters["agg_ms"] = benchmark::Counter(inv * phases.aggregate);
-  state.counters["stats_ms"] = benchmark::Counter(inv * phases.conflict_stats);
-  state.counters["solver_ms"] = benchmark::Counter(
-      inv * (phases.aggregator.Get("solver") + phases.aggregator.Get("eigen") +
-             phases.aggregator.Get("surgery") +
-             phases.aggregator.Get("calibrate")));
-  state.counters["writeback_ms"] = benchmark::Counter(inv * phases.write_back);
-  state.counters["opt_ms"] = benchmark::Counter(inv * phases.optimizer);
+  for (const auto& [name, seconds] : phases.entries()) {
+    state.counters[name + "_ms"] = benchmark::Counter(inv * seconds);
+  }
+  for (const auto& [name, seconds] : aggregator_phases.entries()) {
+    state.counters["agg_" + name + "_ms"] = benchmark::Counter(inv * seconds);
+  }
   state.counters["threads"] = benchmark::Counter(num_threads);
   ThreadPool::SetGlobalNumThreads(1);
 }

@@ -462,32 +462,39 @@ Variable Conv2d(const Variable& input, const Variable& weight,
     }
   });
 
+  // As in MatMul: an input that needs no gradient (the image) gets none,
+  // so its GEMMs and Col2Im, and the weight copy only they read, go.
+  const bool need_x = input.requires_grad();
+  if (!need_x) wv = Tensor();
   return Variable::MakeOp(
       "Conv2d", out, {input, weight, bias},
-      [cols, spec, n, c, h, w, oh, ow, l, patch, f, wv](const Tensor& g) {
+      [cols, spec, n, c, h, w, l, patch, f, wv, need_x](const Tensor& g) {
         MG_TRACE_SCOPE("conv.backward");
-        Tensor dx(Shape{n, c, h, w});
+        Tensor dx;
         Tensor dw(Shape{f, c, spec.kernel, spec.kernel});
         Tensor db(Shape{f});
         // dx: each sample owns a disjoint [c,h,w] slice and a col_grad
         // scratch from its worker's arena (the nested Gemm opens an inner
         // scope on the same arena), so the batch loop parallelizes
         // bit-identically with zero steady-state heap allocations.
-        ParallelFor(0, n, 1, [&](int64_t b0, int64_t b1) {
-          ScratchScope scope;
-          float* col_grad =
-              scope.AllocFloats(static_cast<size_t>(patch) * l);
-          for (int64_t b = b0; b < b1; ++b) {
-            MG_TRACE_SCOPE("conv.backward_sample");
-            const float* gb = g.data() + b * f * l;
-            // col_grad = W^T [patch, f] * g_b [f, l]; beta == 0 overwrites
-            // every element, so the buffer needs no clearing between
-            // samples.
-            Gemm(true, false, patch, l, f, 1.0f, wv.data(), patch, gb, l,
-                 0.0f, col_grad, l);
-            tops::Col2Im(col_grad, spec, h, w, dx.data() + b * c * h * w);
-          }
-        });
+        if (need_x) {
+          dx = Tensor(Shape{n, c, h, w});
+          ParallelFor(0, n, 1, [&](int64_t b0, int64_t b1) {
+            ScratchScope scope;
+            float* col_grad =
+                scope.AllocFloats(static_cast<size_t>(patch) * l);
+            for (int64_t b = b0; b < b1; ++b) {
+              MG_TRACE_SCOPE("conv.backward_sample");
+              const float* gb = g.data() + b * f * l;
+              // col_grad = W^T [patch, f] * g_b [f, l]; beta == 0
+              // overwrites every element, so the buffer needs no clearing
+              // between samples.
+              Gemm(true, false, patch, l, f, 1.0f, wv.data(), patch, gb, l,
+                   0.0f, col_grad, l);
+              tops::Col2Im(col_grad, spec, h, w, dx.data() + b * c * h * w);
+            }
+          });
+        }
         // dW/db accumulate across samples; the loop stays serial in b so the
         // accumulation order is fixed (bit-reproducible for any pool size),
         // while each sample's GEMM still parallelizes over its rows.

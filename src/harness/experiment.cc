@@ -211,7 +211,8 @@ RunResult TrainAndEvaluate(const data::MtlDataset& dataset,
     }
     gcd_sum += stats.conflicts.mean_gcd;
     backward_sum += stats.backward_seconds;
-    result.mean_phase.Accumulate(stats.phase);
+    result.mean_phase.Merge(stats.phase);
+    result.mean_aggregator_phase.Merge(stats.aggregator_phase);
     if (config.loss_curve_every > 0 &&
         step % config.loss_curve_every == 0) {
       result.loss_curve.push_back(stats.losses);
@@ -220,7 +221,8 @@ RunResult TrainAndEvaluate(const data::MtlDataset& dataset,
   }
   result.mean_gcd = gcd_sum / config.steps;
   result.mean_backward_seconds = backward_sum / config.steps;
-  result.mean_phase.Scale(1.0 / config.steps);
+  result.mean_phase.ScaleAll(1.0 / config.steps);
+  result.mean_aggregator_phase.ScaleAll(1.0 / config.steps);
 
   // Evaluate on the test split.
   const auto test_all = dataset.TestBatches();
@@ -260,11 +262,13 @@ RunResult StlBaseline(const data::MtlDataset& dataset,
     merged.final_losses.push_back(r.final_losses[0]);
     gcd += r.mean_gcd;
     backward += r.mean_backward_seconds;
-    merged.mean_phase.Accumulate(r.mean_phase);
+    merged.mean_phase.Merge(r.mean_phase);
+    merged.mean_aggregator_phase.Merge(r.mean_aggregator_phase);
   }
   merged.mean_gcd = gcd / tasks.size();
   merged.mean_backward_seconds = backward / tasks.size();
-  merged.mean_phase.Scale(1.0 / tasks.size());
+  merged.mean_phase.ScaleAll(1.0 / tasks.size());
+  merged.mean_aggregator_phase.ScaleAll(1.0 / tasks.size());
   return merged;
 }
 

@@ -12,6 +12,7 @@
 #include "data/dataset.h"
 #include "mtl/model.h"
 #include "mtl/trainer.h"
+#include "obs/phase_profile.h"
 
 namespace mocograd {
 namespace harness {
@@ -64,9 +65,10 @@ struct RunResult {
   double mean_gcd = 0.0;
   /// Mean seconds spent per step in backward + aggregation (Fig. 8).
   double mean_backward_seconds = 0.0;
-  /// Mean per-phase step breakdown over training (forward, backward, ...,
-  /// optimizer, plus aggregator sub-phases).
-  mtl::StepPhaseTimes mean_phase;
+  /// Mean per-phase step breakdown over training (mtl::StepStats::phase).
+  obs::PhaseProfile mean_phase;
+  /// Mean aggregator sub-phases (mtl::StepStats::aggregator_phase).
+  obs::PhaseProfile mean_aggregator_phase;
 };
 
 /// Builds a fresh model given the per-task head output widths (the task

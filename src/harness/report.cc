@@ -25,23 +25,14 @@ std::string RunsToCsv(const std::vector<LabeledRun>& runs,
     emit(run.label, "-", "mean_gcd", run.result.mean_gcd, 0);
     emit(run.label, "-", "mean_backward_seconds",
          run.result.mean_backward_seconds, 0);
-    // Per-phase step attribution (omitted entirely for hand-built results
-    // that never timed a step).
-    const mtl::StepPhaseTimes& ph = run.result.mean_phase;
-    if (ph.Total() > 0.0) {
-      emit(run.label, "-", "phase_forward_seconds", ph.forward, 0);
-      emit(run.label, "-", "phase_backward_seconds", ph.backward, 0);
-      emit(run.label, "-", "phase_flatten_seconds", ph.flatten, 0);
-      emit(run.label, "-", "phase_conflict_stats_seconds", ph.conflict_stats,
-           0);
-      emit(run.label, "-", "phase_aggregate_seconds", ph.aggregate, 0);
-      emit(run.label, "-", "phase_write_back_seconds", ph.write_back, 0);
-      emit(run.label, "-", "phase_clip_seconds", ph.clip, 0);
-      emit(run.label, "-", "phase_optimizer_seconds", ph.optimizer, 0);
-      for (const auto& sub : ph.aggregator.entries()) {
-        emit(run.label, "-", "phase_agg_" + sub.first + "_seconds",
-             sub.second, 0);
-      }
+    // Per-phase step attribution (no rows for hand-built results that
+    // never timed a step).
+    for (const auto& [name, seconds] : run.result.mean_phase.entries()) {
+      emit(run.label, "-", "phase_" + name + "_seconds", seconds, 0);
+    }
+    for (const auto& [name, seconds] :
+         run.result.mean_aggregator_phase.entries()) {
+      emit(run.label, "-", "phase_agg_" + name + "_seconds", seconds, 0);
     }
     if (stl_baseline != nullptr) {
       emit(run.label, "-", "delta_m",

@@ -18,70 +18,6 @@
 namespace mocograd {
 namespace mtl {
 
-/// Wall-clock attribution of one MtlTrainer::Step, phase by phase. The
-/// eight buckets partition the step: Total() matches the step's wall-clock
-/// on a single-core pool, and sums *CPU* time when the per-task backward
-/// sweeps run on several workers (backward/flatten accumulate per task).
-struct StepPhaseTimes {
-  /// Forward pass of all K tasks (including loss evaluation).
-  double forward = 0.0;
-  /// Per-task tape walks (BackwardInto), summed over tasks.
-  double backward = 0.0;
-  /// Each task zeroing its GradMatrix row and its task parameters' grads
-  /// before its sweep accumulates into them, summed over tasks. (Named
-  /// `flatten` because harness reports, bench_fig8 and the telemetry
-  /// `phase_seconds` key on it.)
-  double flatten = 0.0;
-  /// The K×K cosine matrix and its ConflictStatsFromCosines summary
-  /// (Fig. 2 signal); reads the aggregator's published cosines when complete.
-  double conflict_stats = 0.0;
-  /// GradientAggregator::Aggregate — see `aggregator` for its sub-phases.
-  double aggregate = 0.0;
-  /// Writing the combined + task-specific gradients back onto parameters.
-  double write_back = 0.0;
-  /// Optional global-norm clipping.
-  double clip = 0.0;
-  /// Optimizer step.
-  double optimizer = 0.0;
-
-  /// Aggregator-internal sub-phases ("gram", "solver", "combine", ...),
-  /// filled by methods that support AggregationContext::profile. A subset
-  /// of `aggregate`, not an addition to Total().
-  obs::PhaseProfile aggregator;
-
-  /// Sum of the eight top-level buckets.
-  double Total() const {
-    return forward + backward + flatten + conflict_stats + aggregate +
-           write_back + clip + optimizer;
-  }
-
-  /// Accumulates another step's times bucket-by-bucket (harness averaging).
-  void Accumulate(const StepPhaseTimes& other) {
-    forward += other.forward;
-    backward += other.backward;
-    flatten += other.flatten;
-    conflict_stats += other.conflict_stats;
-    aggregate += other.aggregate;
-    write_back += other.write_back;
-    clip += other.clip;
-    optimizer += other.optimizer;
-    aggregator.Merge(other.aggregator);
-  }
-
-  /// Scales every bucket (including aggregator sub-phases) by `s`.
-  void Scale(double s) {
-    forward *= s;
-    backward *= s;
-    flatten *= s;
-    conflict_stats *= s;
-    aggregate *= s;
-    write_back *= s;
-    clip *= s;
-    optimizer *= s;
-    aggregator.ScaleAll(s);
-  }
-};
-
 /// Statistics of one optimization step.
 struct StepStats {
   /// Raw per-task loss values.
@@ -95,11 +31,20 @@ struct StepStats {
   /// ConflictStatsFromCosines(K, cosines): the GCD signal of the paper's
   /// analysis (Fig. 2).
   core::ConflictStats conflicts;
-  /// Wall-clock seconds spent in the K backward passes + aggregation (the
-  /// quantity of the paper's Fig. 8); excludes the conflict-stats pass.
+  /// Wall-clock seconds of the K backward passes and the aggregation (the
+  /// quantity of the paper's Fig. 8): the sum of `phase`'s setup, backward
+  /// and aggregate buckets. Excludes the conflict-stats pass.
   double backward_seconds = 0.0;
-  /// Per-phase wall-clock breakdown of the whole step.
-  StepPhaseTimes phase;
+  /// Wall-clock breakdown of the step, one bucket per phase in step order:
+  /// setup, forward, backward, aggregate, conflict_stats, watchdog,
+  /// write_back, clip (only when set_max_grad_norm is on), optimizer,
+  /// telemetry. Every statement of Step runs in one bucket on the calling
+  /// thread, so Total() is the step's wall time at every pool size.
+  obs::PhaseProfile phase;
+  /// Aggregator-internal sub-phases ("gram", "solver", "combine", ...),
+  /// filled by methods that support AggregationContext::profile. A part of
+  /// `phase`'s aggregate bucket, not an addition to it.
+  obs::PhaseProfile aggregator_phase;
   /// Anomalies the TrainingWatchdog flagged this step (empty when healthy
   /// or when the watchdog is disabled).
   std::vector<obs::WatchdogEvent> watchdog_events;

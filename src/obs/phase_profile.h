@@ -1,11 +1,12 @@
 #ifndef MOCOGRAD_OBS_PHASE_PROFILE_H_
 #define MOCOGRAD_OBS_PHASE_PROFILE_H_
 
+#include <chrono>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "base/stopwatch.h"
 #include "obs/trace.h"
 
 namespace mocograd {
@@ -49,7 +50,6 @@ class PhaseProfile {
     for (auto& e : entries_) e.second *= s;
   }
 
-  void Clear() { entries_.clear(); }
   bool empty() const { return entries_.empty(); }
 
   const std::vector<std::pair<std::string, double>>& entries() const {
@@ -67,19 +67,34 @@ class PhaseProfile {
 class ScopedPhase {
  public:
   ScopedPhase(PhaseProfile* profile, const char* name)
-      : profile_(profile), name_(name), trace_(name) {}
-  ~ScopedPhase() {
-    if (profile_ != nullptr) profile_->Add(name_, watch_.ElapsedSeconds());
+      : profile_(profile), name_(name), trace_(std::in_place, name),
+        start_(Clock::now()) {}
+  ~ScopedPhase() { Close(Clock::now()); }
+
+  /// Closes this bucket and opens `name`'s at the same clock reading, so
+  /// back-to-back phases leave no time between them unattributed.
+  void Next(const char* name) {
+    const Clock::time_point now = Clock::now();
+    Close(now);
+    name_ = name;
+    trace_.emplace(name);
+    start_ = now;
   }
 
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
  private:
+  using Clock = std::chrono::steady_clock;
+
+  void Close(Clock::time_point now) {
+    trace_.reset();
+    if (profile_ != nullptr) {
+      profile_->Add(name_, std::chrono::duration<double>(now - start_).count());
+    }
+  }
+
   PhaseProfile* profile_;
   const char* name_;
-  TraceScope trace_;
-  Stopwatch watch_;
+  std::optional<TraceScope> trace_;
+  Clock::time_point start_;
 };
 
 }  // namespace obs

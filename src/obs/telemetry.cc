@@ -286,10 +286,10 @@ void TelemetrySink::WriteRecord(const TelemetryRecord& record) {
       line += '}';
     }
   }
-  if (!record.phase_seconds.empty()) {
+  if (record.phase != nullptr && !record.phase->empty()) {
     line += ",\"phase\":{";
     bool first = true;
-    for (const auto& [name, seconds] : record.phase_seconds) {
+    for (const auto& [name, seconds] : record.phase->entries()) {
       if (!first) line += ',';
       first = false;
       AppendJsonKey(&line, name);

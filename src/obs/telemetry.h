@@ -10,6 +10,7 @@
 #include "base/mutex.h"
 #include "base/status.h"
 #include "obs/metrics.h"
+#include "obs/phase_profile.h"
 
 namespace mocograd {
 namespace obs {
@@ -155,8 +156,9 @@ struct TelemetryRecord {
   int num_pairs = 0;
   /// Aggregator decision trace for this step (borrowed; may be null).
   const AggregatorTrace* trace = nullptr;
-  /// Per-phase wall-clock seconds ({name, seconds}; empty = omitted).
-  std::vector<std::pair<std::string, double>> phase_seconds;
+  /// Per-phase wall-clock seconds of this step (borrowed; null or empty =
+  /// omitted).
+  const PhaseProfile* phase = nullptr;
 };
 
 /// Appends typed training-dynamics records as JSONL — the process's one

@@ -373,6 +373,31 @@ TEST(Conv2dGradTest, StridedConvGradcheck) {
       {x, w, b});
 }
 
+TEST(Conv2dGradTest, SkipsTheGradientOfANoGradInput) {
+  const tops::Conv2dSpec spec{.in_channels = 2, .out_channels = 3};  // 3x3
+  Rng rng(13);
+  const Tensor x = Tensor::Randn({2, 2, 4, 4}, rng, 0.0f, 0.5f);
+  const Tensor w = Tensor::Randn({3, 2, 3, 3}, rng, 0.0f, 0.3f);
+  const Tensor b = Tensor::Randn({3}, rng, 0.0f, 0.1f);
+  Variable xv(x, /*requires_grad=*/false);
+  Variable wv(w, /*requires_grad=*/true);
+  Variable y = ag::Conv2d(xv, wv, Variable(b, true), spec);
+  const std::vector<Tensor> grads =
+      y.node()->grad_fn(Tensor::Ones(y.shape()));
+  ASSERT_EQ(grads.size(), 3u);
+  EXPECT_FALSE(grads[0].defined());
+  EXPECT_TRUE(grads[1].defined() && grads[2].defined());
+  ag::MeanAll(y).Backward();
+  EXPECT_FALSE(xv.has_grad());
+  EXPECT_TRUE(wv.has_grad());
+  testing::ExpectGradientsClose(
+      [&](const std::vector<Variable>& v) {
+        return ag::MeanAll(
+            ag::Tanh(ag::Conv2d(Variable(x, false), v[0], v[1], spec)));
+      },
+      {w, b});
+}
+
 TEST(Conv2dTest, KnownValueIdentityKernel) {
   // 1x1 conv with unit weight copies the input channel.
   tops::Conv2dSpec spec;

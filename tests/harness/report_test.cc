@@ -39,23 +39,26 @@ TEST(ReportTest, PhaseRowsOmittedWhenStepsNeverTimed) {
 
 TEST(ReportTest, PhaseSummaryRows) {
   harness::RunResult r = FakeResult(0.9, 1.0);
-  r.mean_phase.forward = 0.25;
-  r.mean_phase.backward = 0.5;
-  r.mean_phase.aggregate = 0.125;
-  r.mean_phase.aggregator.Add("gram", 0.0625);
-  r.mean_phase.aggregator.Add("solver", 0.03125);
+  r.mean_phase.Add("forward", 0.25);
+  r.mean_phase.Add("backward", 0.5);
+  r.mean_phase.Add("aggregate", 0.125);
+  r.mean_phase.Add("optimizer", 0.0);
+  r.mean_aggregator_phase.Add("gram", 0.0625);
+  r.mean_aggregator_phase.Add("solver", 0.03125);
   std::vector<harness::LabeledRun> runs = {{"mocograd", r}};
   const std::string csv = harness::RunsToCsv(runs);
-  EXPECT_NE(csv.find("mocograd,-,phase_forward_seconds,0.25,0"),
-            std::string::npos);
-  EXPECT_NE(csv.find("mocograd,-,phase_backward_seconds,0.5,0"),
-            std::string::npos);
-  EXPECT_NE(csv.find("mocograd,-,phase_aggregate_seconds,0.125,0"),
-            std::string::npos);
-  // Zero buckets still get rows once the step was timed...
-  EXPECT_NE(csv.find("mocograd,-,phase_optimizer_seconds,0,0"),
-            std::string::npos);
-  // ...and aggregator sub-phases appear under phase_agg_<name>_seconds.
+  // One row per bucket, in the profile's order, zero buckets included...
+  const size_t fwd = csv.find("mocograd,-,phase_forward_seconds,0.25,0");
+  const size_t bwd = csv.find("mocograd,-,phase_backward_seconds,0.5,0");
+  const size_t agg = csv.find("mocograd,-,phase_aggregate_seconds,0.125,0");
+  const size_t opt = csv.find("mocograd,-,phase_optimizer_seconds,0,0");
+  ASSERT_NE(opt, std::string::npos);
+  EXPECT_LT(fwd, bwd);
+  EXPECT_LT(bwd, agg);
+  EXPECT_LT(agg, opt);
+  // ...none for a bucket the step never entered, and aggregator sub-phases
+  // under phase_agg_<name>_seconds.
+  EXPECT_EQ(csv.find("phase_clip_seconds"), std::string::npos);
   EXPECT_NE(csv.find("mocograd,-,phase_agg_gram_seconds,0.0625,0"),
             std::string::npos);
   EXPECT_NE(csv.find("mocograd,-,phase_agg_solver_seconds,0.03125,0"),

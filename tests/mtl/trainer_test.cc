@@ -5,7 +5,11 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "base/stopwatch.h"
+#include "base/thread_pool.h"
 #include "core/mocograd.h"
 #include "core/registry.h"
 #include "mtl/hps.h"
@@ -99,25 +103,59 @@ TEST(MtlTrainerTest, StepReducesLosses) {
   EXPECT_EQ(trainer.steps_done(), 121);
 }
 
-TEST(MtlTrainerTest, PhaseTimesCoverTheStep) {
-  TinyProblem prob(11);
-  core::EqualWeight agg;
-  optim::Adam opt(prob.model->Parameters(), 1e-2f);
-  mtl::MtlTrainer trainer(prob.model.get(), &agg, &opt,
-                          {TaskKind::kRegression, TaskKind::kRegression}, 3);
-  mtl::StepStats stats = trainer.Step(prob.batches);
-  const mtl::StepPhaseTimes& ph = stats.phase;
-  // The load-bearing phases of even a tiny step take measurable time...
-  EXPECT_GT(ph.forward, 0.0);
-  EXPECT_GT(ph.backward, 0.0);
-  EXPECT_GT(ph.Total(), 0.0);
-  // ...and no bucket can be negative.
-  for (double v : {ph.forward, ph.backward, ph.flatten, ph.conflict_stats,
-                   ph.aggregate, ph.write_back, ph.clip, ph.optimizer}) {
-    EXPECT_GE(v, 0.0);
+// Every statement of Step runs inside one phase bucket on the calling
+// thread, so the buckets, in step order, sum to the step's wall time at
+// every pool size.
+TEST(MtlTrainerTest, PhasesPartitionTheStep) {
+  for (testing::MtlArch arch : {testing::MtlArch::kHps,
+                                testing::MtlArch::kMmoe,
+                                testing::MtlArch::kScene}) {
+    for (int threads : {1, 4}) {
+      for (float max_norm : {0.0f, 1.0f}) {
+        SCOPED_TRACE(std::string(testing::MtlArchName(arch)) + " threads " +
+                     std::to_string(threads) + " max_norm " +
+                     std::to_string(max_norm));
+        ThreadPool::SetGlobalNumThreads(threads);
+        testing::MtlCase c =
+            testing::MakeMtlCase(arch, 31, 3, /*distinct_inputs=*/true);
+        auto agg = core::MakeAggregator("mocograd").value();
+        optim::Adam opt(c.model->Parameters(), 1e-2f);
+        mtl::MtlTrainer trainer(c.model.get(), agg.get(), &opt, c.kinds, 5);
+        trainer.set_max_grad_norm(max_norm);
+        std::vector<std::string> expected = {
+            "setup", "forward", "backward", "aggregate",
+            "conflict_stats", "watchdog", "write_back", "clip",
+            "optimizer", "telemetry"};
+        if (max_norm == 0.0f) std::erase(expected, "clip");
+
+        // The calling thread preempted between the caller's clock and the
+        // first bucket is scheduler noise, not unattributed work, so a
+        // loaded host gets up to three 20-step windows to show the share.
+        double share = 0.0;
+        for (int window = 0; window < 3 && share < 0.99; ++window) {
+          double phase_sum = 0.0;
+          double step_sum = 0.0;
+          for (int step = 0; step < 20; ++step) {
+            Stopwatch watch;
+            const mtl::StepStats stats = trainer.Step(c.batches);
+            step_sum += watch.ElapsedSeconds();
+            const obs::PhaseProfile& ph = stats.phase;
+            phase_sum += ph.Total();
+            std::vector<std::string> names;
+            for (const auto& e : ph.entries()) names.push_back(e.first);
+            EXPECT_EQ(names, expected);
+            EXPECT_EQ(stats.backward_seconds,
+                      ph.Get("setup") + ph.Get("backward") +
+                          ph.Get("aggregate"));
+          }
+          share = phase_sum / step_sum;
+          EXPECT_LE(share, 1.0);
+        }
+        EXPECT_GE(share, 0.99);
+      }
+    }
   }
-  // No clipping configured → the clip phase never ran.
-  EXPECT_EQ(ph.clip, 0.0);
+  ThreadPool::SetGlobalNumThreads(1);
 }
 
 // Records each step's task-gradient rows, then aggregates with `inner`
@@ -184,10 +222,11 @@ TEST(MtlTrainerTest, AggregatorSubPhasesReported) {
   mtl::MtlTrainer trainer(prob.model.get(), &agg, &opt,
                           {TaskKind::kRegression, TaskKind::kRegression}, 3);
   mtl::StepStats stats = trainer.Step(prob.batches);
-  // MoCoGrad fills its calibration sub-phases through ctx.profile.
-  EXPECT_FALSE(stats.phase.aggregator.empty());
-  EXPECT_GE(stats.phase.aggregator.Get("calibrate"), 0.0);
-  EXPECT_LE(stats.phase.aggregator.Total(), stats.phase.aggregate + 1e-6);
+  // MoCoGrad fills its calibration sub-phases through ctx.profile, inside
+  // the trainer's aggregate bucket.
+  EXPECT_FALSE(stats.aggregator_phase.empty());
+  EXPECT_GE(stats.aggregator_phase.Get("calibrate"), 0.0);
+  EXPECT_LE(stats.aggregator_phase.Total(), stats.phase.Get("aggregate"));
 }
 
 TEST(MtlTrainerTest, EwStepMatchesPlainJointBackward) {

@@ -155,7 +155,9 @@ TEST_F(TelemetrySinkTest, WritesParsableStepRecords) {
   rec.num_conflicting_pairs = 1;
   rec.num_pairs = 1;
   rec.trace = &trace;
-  rec.phase_seconds = {{"forward", 0.25}};
+  PhaseProfile phase;
+  phase.Add("forward", 0.25);
+  rec.phase = &phase;
   sink.WriteRecord(rec);
   sink.WriteWatchdogEvent("mocograd",
                           {4, "grad_explosion", -1, 100.0, 10.0});

@@ -25,12 +25,14 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "obs/phase_profile.h"
 
 namespace {
 
 using mocograd::Result;
 using mocograd::obs::JsonValue;
 using mocograd::obs::ParseJson;
+using mocograd::obs::PhaseProfile;
 
 double kNan = std::numeric_limits<double>::quiet_NaN();
 
@@ -52,7 +54,7 @@ struct StepRec {
   std::vector<PairCosine> cosines;
   int decisions = 0;
   int decisions_acted = 0;
-  std::vector<std::pair<std::string, double>> phase;
+  PhaseProfile phase;
 };
 
 struct WatchRec {
@@ -135,7 +137,7 @@ StepRec ParseTelemetryStep(const JsonValue& rec) {
   const JsonValue* phase = rec.Find("phase");
   if (phase != nullptr && phase->is_object()) {
     for (const auto& [k, v] : phase->members) {
-      if (v.is_number()) s.phase.emplace_back(k, v.number_value);
+      if (v.is_number()) s.phase.Add(k, v.number_value);
     }
   }
   return s;
@@ -363,30 +365,14 @@ std::string GcdHeatmap(const Run& run, int max_cols = 140) {
 
 // Mean per-phase seconds as horizontal bars.
 std::string PhaseBars(const Run& run) {
-  std::vector<std::pair<std::string, double>> mean;
-  for (const StepRec& s : run.steps) {
-    for (const auto& [name, secs] : s.phase) {
-      bool found = false;
-      for (auto& m : mean) {
-        if (m.first == name) {
-          m.second += secs;
-          found = true;
-          break;
-        }
-      }
-      if (!found) mean.emplace_back(name, secs);
-    }
-  }
-  if (mean.empty()) return "";
-  double total = 0.0;
-  for (auto& m : mean) {
-    m.second /= run.steps.size();
-    total += m.second;
-  }
+  PhaseProfile mean;
+  for (const StepRec& s : run.steps) mean.Merge(s.phase);
+  mean.ScaleAll(1.0 / run.steps.size());
+  const double total = mean.Total();
   if (total <= 0.0) return "";
   std::string out = "<table class=\"ph\"><tr><th>phase</th>"
                     "<th>mean s/step</th><th></th></tr>";
-  for (const auto& [name, secs] : mean) {
+  for (const auto& [name, secs] : mean.entries()) {
     const int px = static_cast<int>(320.0 * secs / total + 0.5);
     out += "<tr><td>" + HtmlEscape(name) + "</td><td>" +
            Fmt("%.3g", secs) + "</td><td><div class=\"bar\" style=\"width:" +

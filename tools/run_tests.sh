@@ -12,7 +12,8 @@
 #   obs-smoke          traced + telemetered training run; the emitted
 #                      Chrome-trace JSON must parse, and the telemetry must
 #                      pass the --telemetry schema check and hold the
-#                      gemm.calls counter (docs/OBSERVABILITY.md)
+#                      gemm.calls counter and the setup and watchdog phase
+#                      buckets, but no flatten bucket (docs/OBSERVABILITY.md)
 #   serve-smoke        bench_serve --smoke closed/open-loop sweep; the
 #                      emitted JSON must pass the --serve schema check
 #                      (docs/SERVING.md)
@@ -136,6 +137,11 @@ pass_obs_smoke() {
     { echo "no telemetry written to $telemetry_jsonl"; return 1; }
   grep -q '"gemm.calls"' "$telemetry_jsonl" ||
     { echo "no gemm.calls counter in $telemetry_jsonl"; return 1; }
+  # The phase buckets partition the step: no busy-time flatten bucket.
+  grep -q '"setup":' "$telemetry_jsonl" &&
+    grep -q '"watchdog":' "$telemetry_jsonl" &&
+    ! grep -q '"flatten":' "$telemetry_jsonl" ||
+    { echo "want setup+watchdog phases, no flatten"; return 1; }
   "$build_dir/tools/validate_json" "$trace_json" &&
     "$build_dir/tools/validate_json" --telemetry "$telemetry_jsonl"
 }
